@@ -19,8 +19,6 @@ __all__ = [
     "BraidWord",
     "Perm",
     "identity_perm",
-    "compose",
-    "inverse_perm",
     "longest_element",
     "perm_of_word",
     "coxeter_length",
@@ -67,18 +65,6 @@ class BraidWord:
 
 def identity_perm(n: int) -> Perm:
     return tuple(range(1, n + 1))
-
-
-def compose(outer: Perm, inner: Perm) -> Perm:
-    """Function composition outer o inner: j -> outer(inner(j))."""
-    return tuple(outer[inner[j] - 1] for j in range(len(inner)))
-
-
-def inverse_perm(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for j, image in enumerate(p, start=1):
-        out[image - 1] = j
-    return tuple(out)
 
 
 def longest_element(n: int) -> Perm:

@@ -141,21 +141,26 @@ def braid_closure(word: BraidWord) -> PlanarDiagram:
     return PlanarDiagram(crossings, free_loops)
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[int, int] = {}
+def _union_find(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Root of each element 0..n-1 after joining every pair.
 
-    def find(self, x: int) -> int:
-        p = self.parent.setdefault(x, x)
-        while p != x:
-            self.parent[x] = p = self.parent[p]
-            x, p = p, self.parent[p]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    Joining (a, b) hangs a's root under b's root, so the roots depend only on
+    the order of the pairs; ``knitted.compile_diagram`` names arcs by them.
+    """
+    parent = list(range(n))
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+    for x in range(n):
+        root = parent[x]
+        while parent[root] != root:
+            root = parent[root]
+        parent[x] = root
+    return parent
 
 
 def seifert_circles(d: PlanarDiagram) -> tuple[int, dict[int, int]]:
@@ -166,19 +171,22 @@ def seifert_circles(d: PlanarDiagram) -> tuple[int, dict[int, int]]:
     loops, and the arc -> circle-id assignment, circles numbered 1.. in order
     of their smallest arc.
     """
-    uf = _UnionFind()
-    for a in d.arcs:
-        uf.find(a)
-    for c in d.crossings:
-        uf.union(c.under_in, c.over_out)
-        uf.union(c.over_in, c.under_out)
-    groups: dict[int, list[int]] = {}
-    for a in d.arcs:
-        groups.setdefault(uf.find(a), []).append(a)
-    ordering = sorted(groups, key=lambda r: min(groups[r]))
-    circle_of_root = {r: i + 1 for i, r in enumerate(ordering)}
-    assignment = {a: circle_of_root[uf.find(a)] for a in d.arcs}
-    return len(groups) + d.free_loops, assignment
+    arcs = sorted(d.arcs)
+    index = {a: i for i, a in enumerate(arcs)}
+    roots = _union_find(
+        len(arcs),
+        (
+            (index[a], index[b])
+            for c in d.crossings
+            for a, b in ((c.under_in, c.over_out), (c.over_in, c.under_out))
+        ),
+    )
+    circle_of_root: dict[int, int] = {}
+    assignment = {
+        a: circle_of_root.setdefault(r, len(circle_of_root) + 1)
+        for a, r in zip(arcs, roots)
+    }
+    return len(circle_of_root) + d.free_loops, assignment
 
 
 def seifert_graph(d: PlanarDiagram) -> SeifertGraph:
@@ -204,90 +212,60 @@ def writhe(d: PlanarDiagram) -> int:
 
 def component_count(d: PlanarDiagram) -> int:
     """Link components: orbits of arcs under through-strand continuation."""
-    uf = _UnionFind()
-    for a in d.arcs:
-        uf.find(a)
-    for c in d.crossings:
-        uf.union(c.under_in, c.under_out)
-        uf.union(c.over_in, c.over_out)
-    roots = {uf.find(a) for a in d.arcs}
-    return len(roots) + d.free_loops
+    raw, free_loops = d.raw()
+    return _link_components(raw) + free_loops
 
 
-# port names in the order (under_in, over_in, under_out, over_out)
-_PORTS = ("ui", "oi", "uo", "oo")
+def _genus_zero(rotations: Sequence[Sequence[int]], partner: Sequence[int]) -> bool:
+    """True iff every connected component of a ribbon graph is planar.
 
-
-def _rotation(sign: int) -> tuple[str, str, str, str]:
-    """Counterclockwise port order at a crossing of the given sign."""
-    return ("ui", "oi", "uo", "oo") if sign > 0 else ("ui", "oo", "uo", "oi")
+    Half-edges are 0..len(partner)-1: ``rotations[v]`` lists those at vertex v
+    counterclockwise and ``partner`` pairs them into edges. Faces are the
+    orbits of h -> (the half-edge after partner[h] at its vertex). A
+    component has V - E + F = 2 - 2g <= 2, so every component has genus 0
+    iff V - E + F summed over the graph is twice the number of components.
+    """
+    after = [0] * len(partner)
+    vertex = [0] * len(partner)
+    for v, ring in enumerate(rotations):
+        for k, h in enumerate(ring):
+            after[h] = ring[(k + 1) % len(ring)]
+            vertex[h] = v
+    roots = _union_find(len(rotations), ((vertex[h], vertex[p]) for h, p in enumerate(partner)))
+    faces = 0
+    seen = [False] * len(partner)
+    for start in range(len(partner)):
+        if seen[start]:
+            continue
+        faces += 1
+        h = start
+        while not seen[h]:
+            seen[h] = True
+            h = after[partner[h]]
+    return len(rotations) - len(partner) // 2 + faces == 2 * len(set(roots))
 
 
 def planarity_check(d: PlanarDiagram) -> bool:
     """True iff every connected component embeds in the sphere (genus 0).
 
-    Faces of the 4-valent ribbon graph induced by the fixed cyclic port order
-    are traced as dart orbits; a component with V crossings and E arcs is
-    planar iff V - E + F = 2. Free loops are trivially planar.
+    The 4-valent ribbon graph has one vertex per crossing, with the fixed
+    cyclic port order, and one edge per arc; half-edge 4i + k is port k of
+    crossing i in the order (under_in, over_in, under_out, over_out). Free
+    loops are trivially planar.
     """
-    if not d.crossings:
-        return True
-    port_arc: dict[tuple[int, str], int] = {}
-    producer: dict[int, tuple[int, str]] = {}
-    consumer: dict[int, tuple[int, str]] = {}
-    for idx, c in enumerate(d.crossings):
-        for name, arc in zip(_PORTS, (c.under_in, c.over_in, c.under_out, c.over_out)):
-            port_arc[(idx, name)] = arc
-            if name in ("ui", "oi"):
-                consumer[arc] = (idx, name)
-            else:
-                producer[arc] = (idx, name)
-
-    # connected components of the crossing graph
-    uf = _UnionFind()
-    for idx in range(len(d.crossings)):
-        uf.find(idx)
-    for arc in d.arcs:
-        uf.union(producer[arc][0], consumer[arc][0])
-    comp_of = {idx: uf.find(idx) for idx in range(len(d.crossings))}
-
-    next_ccw = {}
-    for idx, c in enumerate(d.crossings):
-        rot = _rotation(c.sign)
-        for k, name in enumerate(rot):
-            next_ccw[(idx, name)] = (idx, rot[(k + 1) % 4])
-
-    # darts: (arc, True) runs producer -> consumer, (arc, False) the reverse
-    faces_of_comp: dict[int, int] = {}
-    seen: set[tuple[int, bool]] = set()
-    for arc in d.arcs:
-        for forward in (True, False):
-            dart = (arc, forward)
-            if dart in seen:
-                continue
-            comp = comp_of[producer[arc][0]]
-            faces_of_comp[comp] = faces_of_comp.get(comp, 0) + 1
-            a, fwd = dart
-            while (a, fwd) not in seen:
-                seen.add((a, fwd))
-                port = consumer[a] if fwd else producer[a]
-                nxt_port = next_ccw[port]
-                nxt_arc = port_arc[nxt_port]
-                fwd = nxt_port[1] in ("uo", "oo")
-                a = nxt_arc
-
-    counts: dict[int, tuple[int, int]] = {}
-    for idx in range(len(d.crossings)):
-        comp = comp_of[idx]
-        v, e = counts.get(comp, (0, 0))
-        counts[comp] = (v + 1, e)
-    for arc in d.arcs:
-        comp = comp_of[producer[arc][0]]
-        v, e = counts[comp]
-        counts[comp] = (v, e + 1)
-    return all(
-        v - e + faces_of_comp.get(comp, 0) == 2 for comp, (v, e) in counts.items()
-    )
+    produced_at: dict[int, int] = {}
+    for i, c in enumerate(d.crossings):
+        produced_at[c.under_out] = 4 * i + 2
+        produced_at[c.over_out] = 4 * i + 3
+    partner = [0] * (4 * len(d.crossings))
+    rotations = []
+    for i, c in enumerate(d.crossings):
+        for h, arc in ((4 * i, c.under_in), (4 * i + 1, c.over_in)):
+            partner[h] = produced_at[arc]
+            partner[produced_at[arc]] = h
+        ports = (0, 1, 2, 3) if c.sign > 0 else (0, 3, 2, 1)
+        rotations.append([4 * i + k for k in ports])
+    return _genus_zero(rotations, partner)
 
 
 RawCrossing = tuple[int, int, int, int, int]
@@ -296,20 +274,32 @@ RawCrossing = tuple[int, int, int, int, int]
 def _split_components(
     crossings: Sequence[RawCrossing],
 ) -> list[tuple[RawCrossing, ...]]:
-    """Connected components of the crossing graph (arcs as adjacency)."""
-    uf = _UnionFind()
-    touch: dict[int, int] = {}
+    """Connected components of the crossing graph (arcs as adjacency).
+
+    Components come in order of their first crossing, crossings in input order.
+    """
+    first_at: dict[int, int] = {}
+    pairs = []
     for idx, (_, ui, oi, uo, oo) in enumerate(crossings):
-        uf.find(idx)
         for a in (ui, oi, uo, oo):
-            if a in touch:
-                uf.union(touch[a], idx)
-            else:
-                touch[a] = idx
+            first = first_at.setdefault(a, idx)
+            if first != idx:
+                pairs.append((first, idx))
     groups: dict[int, list[RawCrossing]] = {}
-    for idx, c in enumerate(crossings):
-        groups.setdefault(uf.find(idx), []).append(c)
-    return [tuple(groups[r]) for r in sorted(groups)]
+    for c, root in zip(crossings, _union_find(len(crossings), pairs)):
+        groups.setdefault(root, []).append(c)
+    return [tuple(g) for g in groups.values()]
+
+
+def _link_components(crossings: Sequence[RawCrossing]) -> int:
+    """Link components of a crossing list: arcs joined through each crossing."""
+    index: dict[int, int] = {}
+    pairs = [
+        (index.setdefault(a, len(index)), index.setdefault(b, len(index)))
+        for _, ui, oi, uo, oo in crossings
+        for a, b in ((ui, uo), (oi, oo))
+    ]
+    return len(set(_union_find(len(index), pairs)))
 
 
 def _encode_from(

@@ -25,8 +25,9 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from knitweave.braid import (
     BraidWord,
@@ -35,7 +36,7 @@ from knitweave.braid import (
     half_twist_word,
     reduced_word,
 )
-from knitweave.diagram import Crossing, PlanarDiagram
+from knitweave.diagram import Crossing, PlanarDiagram, _genus_zero, _union_find
 from knitweave.hecke import expand_word, top_coeff
 from knitweave.laurent import LaurentVZ, LaurentZ
 from knitweave.skein import homfly_framed
@@ -104,6 +105,11 @@ class KnittedTemplate:
     def wiring_map(self) -> dict[Endpoint, Endpoint]:
         return dict(self.wiring)
 
+    @cached_property
+    def _report(self) -> ValidationReport:
+        failures = tuple(_failures(self))
+        return ValidationReport(not failures, failures)
+
 
 @dataclass(frozen=True)
 class KnittedDiagram:
@@ -163,98 +169,62 @@ def _ribbon_planar(t: KnittedTemplate) -> bool:
     """Genus-0 test for the box-and-wire ribbon graph.
 
     Each box is a vertex with counterclockwise port rotation
-    (in_0, ..., in_{n-1}, out_{n-1}, ..., out_0); each wire is an edge. A
-    component with V boxes and E wires is planar iff V - E + F = 2.
+    (in_0, ..., in_{n-1}, out_{n-1}, ..., out_0); each wire is an edge. Box b
+    owns the half-edges start[b] .. start[b + 1] - 1 in that order.
     """
-    rotation: dict[tuple[str, int, int], tuple[str, int, int]] = {}
-    for b, n in enumerate(t.boxes):
-        ports = [("in", b, p) for p in range(n)] + [
-            ("out", b, p) for p in range(n - 1, -1, -1)
-        ]
-        for k, port in enumerate(ports):
-            rotation[port] = ports[(k + 1) % len(ports)]
-
-    wire_at: dict[tuple[str, int, int], int] = {}
-    for w_id, ((ob, op), (ib, ip)) in enumerate(t.wiring):
-        wire_at[("out", ob, op)] = w_id
-        wire_at[("in", ib, ip)] = w_id
-    wires = t.wiring
-
-    parent = list(range(len(t.boxes)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (ob, _), (ib, _) in wires:
-        ra, rb = find(ob), find(ib)
-        if ra != rb:
-            parent[ra] = rb
-
-    faces: dict[int, int] = {}
-    seen: set[tuple[int, bool]] = set()
-    for w_id in range(len(wires)):
-        for forward in (True, False):
-            if (w_id, forward) in seen:
-                continue
-            comp = find(wires[w_id][0][0])
-            faces[comp] = faces.get(comp, 0) + 1
-            cur, fwd = w_id, forward
-            while (cur, fwd) not in seen:
-                seen.add((cur, fwd))
-                (ob, op), (ib, ip) = wires[cur]
-                port = ("in", ib, ip) if fwd else ("out", ob, op)
-                nxt = rotation[port]
-                cur = wire_at[nxt]
-                fwd = nxt[0] == "out"
-
-    v_e: dict[int, list[int]] = {}
-    for b in range(len(t.boxes)):
-        v_e.setdefault(find(b), [0, 0])[0] += 1
-    for (ob, _), _ in wires:
-        v_e[find(ob)][1] += 1
-    return all(v - e + faces.get(comp, 0) == 2 for comp, (v, e) in v_e.items())
+    start = list(itertools.accumulate((2 * n for n in t.boxes), initial=0))
+    partner = [0] * start[-1]
+    for (ob, op), (ib, ip) in t.wiring:
+        out_h, in_h = start[ob + 1] - 1 - op, start[ib] + ip
+        partner[out_h], partner[in_h] = in_h, out_h
+    return _genus_zero([range(a, b) for a, b in zip(start, start[1:])], partner)
 
 
-def validate(t: KnittedTemplate) -> ValidationReport:
-    """Check all template conditions; failures are data, not exceptions."""
-    failures: list[str] = []
-    if not _ribbon_planar(t):
-        failures.append("wiring is not realizable in the plane around the boxes")
+def _failures(t: KnittedTemplate) -> Iterator[str]:
+    """Each failed template condition, lazily and cheapest check first.
+
+    Almost every random wiring already fails a circle check, so the ribbon
+    face trace runs last.
+    """
     circles = _circles(t)
     for i, boxes in enumerate(circles):
         dups = sorted({b for b in boxes if boxes.count(b) > 1})
         if dups:
-            failures.append(
-                f"circle {i} passes through box(es) {dups} more than once"
-            )
+            yield f"circle {i} passes through box(es) {dups} more than once"
     incidence = [set(boxes) for boxes in circles]
     for i, j in itertools.combinations(range(len(circles)), 2):
         shared = sorted(incidence[i] & incidence[j])
         if len(shared) >= 2:
-            failures.append(
-                f"circles {i} and {j} share boxes {shared}"
-            )
-    return ValidationReport(not failures, tuple(failures))
+            yield f"circles {i} and {j} share boxes {shared}"
+    if not _ribbon_planar(t):
+        yield "wiring is not realizable in the plane around the boxes"
+
+
+def validate(t: KnittedTemplate) -> ValidationReport:
+    """Check all template conditions; failures are data, not exceptions.
+
+    The checks run once per template object; later calls return the same
+    report.
+    """
+    return t._report
+
+
+def _require_valid(t: KnittedTemplate) -> None:
+    report = validate(t)
+    if not report.ok:
+        raise TemplateError(report)
 
 
 def seifert_count(t: KnittedTemplate) -> int:
     """Number of Seifert circles of any diagram on this template."""
-    report = validate(t)
-    if not report.ok:
-        raise TemplateError(report)
+    _require_valid(t)
     return len(_circles(t))
 
 
-def compile_diagram(k: KnittedDiagram, _validated: bool = False) -> PlanarDiagram:
+def compile_diagram(k: KnittedDiagram) -> PlanarDiagram:
     """PD code of the knitted diagram: box crossings joined per the wiring."""
     t = k.template
-    if not _validated:
-        report = validate(t)
-        if not report.ok:
-            raise TemplateError(report)
+    _require_valid(t)
 
     arc_of_out: dict[Endpoint, int] = {}
     arc_of_in: dict[Endpoint, int] = {}
@@ -281,25 +251,12 @@ def compile_diagram(k: KnittedDiagram, _validated: bool = False) -> PlanarDiagra
         for p in range(n):
             merges.append((cur[p], arc_of_out[(b, p)]))
 
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b2 in merges:
-        ra, rb = find(a), find(b2)
-        if ra != rb:
-            parent[ra] = rb
-
-    port_arcs = {find(a) for (_, ui, oi, uo, oo) in raw for a in (ui, oi, uo, oo)}
-    free_loops = len({find(a) for a in parent} - port_arcs)
+    root = _union_find(fresh, merges)
+    port_arcs = {root[a] for (_, ui, oi, uo, oo) in raw for a in (ui, oi, uo, oo)}
+    free_loops = len(set(root) - port_arcs)
 
     crossings = [
-        Crossing(s, find(ui), find(oi), find(uo), find(oo))
+        Crossing(s, root[ui], root[oi], root[uo], root[oo])
         for (s, ui, oi, uo, oo) in raw
     ]
     return PlanarDiagram(crossings, free_loops)
@@ -325,7 +282,7 @@ def _tuple_value(t: KnittedTemplate, perms: tuple[Perm, ...]) -> LaurentVZ:
     cached = _TUPLE_CACHE.get(key)
     if cached is None:
         words = tuple(reduced_word(p) for p in perms)
-        cached = homfly_framed(compile_diagram(KnittedDiagram(t, words), _validated=True))
+        cached = homfly_framed(compile_diagram(KnittedDiagram(t, words)))
         _TUPLE_CACHE[key] = cached
     return cached
 
@@ -340,9 +297,7 @@ def eval_hecke(k: KnittedDiagram) -> LaurentVZ:
     compiled diagram directly.
     """
     t = k.template
-    report = validate(t)
-    if not report.ok:
-        raise TemplateError(report)
+    _require_valid(t)
     expansions = [sorted(expand_word(w).coeffs.items()) for w in k.words]
     total = LaurentVZ.zero()
     for combo in itertools.product(*expansions):
@@ -364,9 +319,7 @@ def extreme_minus_fast(k: KnittedDiagram) -> LaurentZ:
     negative crossing inside its box.
     """
     t = k.template
-    report = validate(t)
-    if not report.ok:
-        raise TemplateError(report)
+    _require_valid(t)
     s = seifert_count(t)
     prod = LaurentZ.one()
     for word in k.words:
@@ -582,7 +535,7 @@ def random_template(
             targets = list(endpoints)
             rng.shuffle(targets)
             t = KnittedTemplate(boxes, tuple(zip(endpoints, targets)))
-            if validate(t).ok:
+            if next(_failures(t), None) is None:
                 return t, total
     raise RuntimeError(f"no valid template found in {total} tries")
 

@@ -14,9 +14,8 @@ smoothing carries the z weight. Values are memoized on a canonical
 relabeling of the diagram; split diagrams factor as the product of their
 pieces times delta^(pieces-1).
 
-The memo table is the only shared state. CPython dict reads/writes are
-atomic, so concurrent evaluations may share it; single-threaded runs are
-deterministic.
+The memo table is module-level state shared by every evaluation in the
+process; evaluations run one at a time and are deterministic.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from typing import Callable
 from knitweave.diagram import (
     PlanarDiagram,
     RawCrossing,
+    _link_components,
     _split_components,
     canonical_raw,
     planarity_check,
@@ -107,24 +107,6 @@ def _first_violation(crossings: tuple[RawCrossing, ...]) -> int | None:
     return None
 
 
-def _through_components(crossings: tuple[RawCrossing, ...]) -> int:
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for _, ui, oi, uo, oo in crossings:
-        for a, b in ((ui, uo), (oi, oo)):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    return len({find(a) for a in parent})
-
-
 def _switch(crossings: tuple[RawCrossing, ...], idx: int) -> tuple[RawCrossing, ...]:
     s, ui, oi, uo, oo = crossings[idx]
     switched = (-s, oi, ui, oo, uo)
@@ -184,7 +166,7 @@ def _eval(crossings: tuple[RawCrossing, ...], free_loops: int) -> LaurentVZ:
         idx = _first_violation(crossings)
         if idx is None:
             w = sum(c[0] for c in crossings)
-            k = _through_components(crossings)
+            k = _link_components(crossings)
             val = LaurentVZ.monomial(-w, 0) * delta_pow(k - 1)
         else:
             sign = crossings[idx][0]

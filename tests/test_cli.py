@@ -1,11 +1,13 @@
+import dataclasses
 import io
 import json
 import subprocess
 import sys
 
+from knitweave import cli
 from knitweave.cli import main, render_table
 from knitweave.gallery import write_showcase_json
-from knitweave.laurent import LaurentVZ
+from knitweave.laurent import LaurentVZ, LaurentZ
 
 
 def run_cli(*args: str, stdin: str | None = None) -> tuple[int, str]:
@@ -87,8 +89,17 @@ def test_verify_ft_pass_on_braid():
     assert "verdict: PASS" in out
 
 
-def test_verify_ft_injected_corruption_fails_with_diff():
-    rc, out = run_cli("verify-ft", "--braid", "1", "--strands", "2", "--inject-error")
+def test_verify_ft_injected_corruption_fails_with_diff(monkeypatch):
+    real = cli.verify_theorem
+
+    def corrupted(k):
+        report = real(k)
+        return dataclasses.replace(
+            report, h_plus_ft=report.h_plus_ft + LaurentZ.one(), equality_holds=False
+        )
+
+    monkeypatch.setattr(cli, "verify_theorem", corrupted)
+    rc, out = run_cli("verify-ft", "--braid", "1", "--strands", "2")
     assert rc == 1
     assert "verdict: FAIL" in out
     assert "minus signed H+" in out
@@ -114,6 +125,20 @@ def test_hecke_expand_output():
     assert "2,1 : z" in out
 
 
+def test_recursion_limit_exits_2_without_traceback(tmp_path, monkeypatch, capsys):
+    def bottomless(d):
+        return bottomless(d)
+
+    monkeypatch.setattr(cli, "homfly", bottomless)
+    pd = tmp_path / "trefoil.pd"
+    pd.write_text("X[2,1,3,4;+] X[4,3,5,6;+] X[6,5,1,2;+]\n")
+    rc, out = run_cli("homfly", "--pd", str(pd))
+    err = capsys.readouterr().err
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "recursion limit" in err
+    assert "Traceback" not in err
+
+
 def test_parse_failure_exit_codes(tmp_path):
     rc, _ = run_cli("homfly", "--pd", str(tmp_path / "missing.pd"))
     assert rc == 2
@@ -133,11 +158,3 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "framed H   = v^-1" in proc.stdout
-
-
-def test_threaded_campaign_matches_sequential(monkeypatch):
-    rc1, out1 = run_cli("random-test", "--seed", "3", "--count", "8")
-    monkeypatch.setenv("KNITWEAVE_THREADS", "4")
-    rc2, out2 = run_cli("random-test", "--seed", "3", "--count", "8")
-    assert rc1 == rc2 == 0
-    assert out1 == out2

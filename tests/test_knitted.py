@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from knitweave import knitted
 from knitweave.braid import BraidWord, full_twist_word
 from knitweave.diagram import (
     braid_closure,
@@ -218,6 +219,19 @@ def test_verify_theorem_on_showcase():
     assert r.h_minus == expected
     assert r.h_plus_ft == expected
     assert r.passed
+
+
+def test_verify_theorem_checks_the_template_once(monkeypatch):
+    traced = []
+    ribbon_planar = knitted._ribbon_planar
+
+    def counting(t):
+        traced.append(t)
+        return ribbon_planar(t)
+
+    monkeypatch.setattr(knitted, "_ribbon_planar", counting)
+    assert verify_theorem(showcase_knot()).passed
+    assert len(traced) == 1
 
 
 def test_theorem_on_random_knitted_diagrams():
