@@ -35,6 +35,7 @@ from knitweave.knitted import (
     compile_diagram,
     eval_hecke,
     knitted_from_json,
+    knitted_to_json,
     random_knitted,
     seifert_count,
     verify_theorem,
@@ -200,8 +201,10 @@ def _sample_seed(seed: int, index: int) -> int:
     return (seed * 2654435761 + index * 40503 + 12345) & 0xFFFFFFFFFFFFFFFF
 
 
-def _run_sample(seed: int, index: int, cfg: RunConfig) -> tuple[list[str], int]:
-    """All per-sample checks; returns failed check names and sampling retries."""
+def _run_sample(
+    seed: int, index: int, cfg: RunConfig
+) -> tuple[KnittedDiagram, list[str], int]:
+    """All per-sample checks; returns the sample, failed check names and retries."""
     rng = Random(_sample_seed(seed, index))
     k, tries = random_knitted(rng, cfg.max_boxes, cfg.max_strands, cfg.max_word_length)
     failures: list[str] = []
@@ -229,25 +232,27 @@ def _run_sample(seed: int, index: int, cfg: RunConfig) -> tuple[list[str], int]:
         failures.append("mp soundness (H+)")
     if minus_zero and report.h_minus:
         failures.append("mp soundness (H-)")
-    return failures, tries
+    return k, failures, tries
 
 
 def cmd_random_test(cfg: RunConfig, out) -> int:
     results = [_run_sample(cfg.seed, i, cfg) for i in range(cfg.count)]
-    passed = sum(1 for fails, _ in results if not fails)
+    passed = sum(1 for _, fails, _ in results if not fails)
     print(f"{passed}/{cfg.count} pass", file=out)
     if results:
         print(
-            f"template sampling retries: {sum(t for _, t in results)}",
+            f"template sampling retries: {sum(t for _, _, t in results)}",
             file=out,
         )
-    for i, (fails, _) in enumerate(results):
+    for i, (k, fails, _) in enumerate(results):
         if fails:
             print(
                 f"first failure: sample {i} (seed {_sample_seed(cfg.seed, i)}): "
                 + ", ".join(fails),
                 file=out,
             )
+            # the sample as knitted JSON on one line, for `homfly --knitted`
+            print(json.dumps(knitted_to_json(k)), file=out)
             return EXIT_VERIFY_FAIL
     return EXIT_OK
 

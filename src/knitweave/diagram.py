@@ -309,44 +309,37 @@ def _encode_from(
 ) -> tuple:
     """Structural encoding of a connected piece walked from a given arc.
 
-    Arcs are relabeled in discovery order along the oriented walk; when a
-    link-component walk closes, the next start is the first unlabeled arc in
-    crossing-encounter order, scanning ports in the fixed role order. The
-    encoding determines the crossing list up to arc relabeling.
+    ``consumer`` maps each arc to (crossing index, consumed by under_in). Arcs
+    are relabeled 0, 1, ... in discovery order along the oriented walk, so
+    ``start`` gets label 0 and the encoding opens with the tuple of its
+    consumer. When a link-component walk closes, the next start is the first
+    unlabeled arc in crossing-encounter order, scanning ports in the fixed
+    role order. The encoding determines the crossing list up to arc
+    relabeling.
     """
     label: dict[int, int] = {}
     order: list[int] = []  # crossing indices in first-encounter order
-    pos: dict[int, int] = {}
-
-    def lab(a: int) -> None:
-        if a not in label:
-            label[a] = len(label)
-
-    a = start
     total_arcs = len(consumer)
+    cursor = 0  # crossings of order before this one have every arc labelled
+    a = start
+    n = 0
     while True:
-        lab(a)
+        label[a] = n
+        n += 1
         idx, under = consumer[a]
-        if idx not in pos:
-            pos[idx] = len(order)
-            order.append(idx)
         c = crossings[idx]
+        # a crossing is met first on whichever in-arc is labelled first
+        if (c[2] if under else c[1]) not in label:
+            order.append(idx)
         a = c[3] if under else c[4]
         if a in label:
-            if len(label) == total_arcs:
+            if n == total_arcs:
                 break
-            # walk closed; restart from the first unlabeled arc in structural order
-            nxt = None
-            for idx2 in order:
-                for arc in crossings[idx2][1:]:
-                    if arc not in label:
-                        nxt = arc
-                        break
-                if nxt is not None:
-                    break
-            if nxt is None:
-                break
-            a = nxt
+            # walk closed; restart from the first unlabeled arc in structural
+            # order. Labels are never removed, so the scan resumes at cursor.
+            while all(x in label for x in crossings[order[cursor]][1:]):
+                cursor += 1
+            a = next(x for x in crossings[order[cursor]][1:] if x not in label)
     body = []
     for idx in order:
         s, ui, oi, uo, oo = crossings[idx]
@@ -355,17 +348,34 @@ def _encode_from(
 
 
 def _canonical_component(crossings: Sequence[RawCrossing]) -> tuple:
+    """Minimal encoding of one connected piece over all its start arcs.
+
+    Only the start arcs that can give the minimum are walked: one per
+    crossing of the smallest sign present, so a piece with exactly one
+    negative crossing is walked once.
+    """
     consumer: dict[int, tuple[int, bool]] = {}
     for idx, (_, ui, oi, _uo, _oo) in enumerate(crossings):
         consumer[ui] = (idx, True)
         consumer[oi] = (idx, False)
-    return min(_encode_from(crossings, consumer, a) for a in consumer)
+    # The start arc gets label 0 and the encoding opens with the tuple of its
+    # consumer, (sign, label[ui], label[oi], ...). A start at an under_in
+    # gives (s, 0, ...); a start at an over_in gives (s, >=1, 0, ...) because
+    # ui != oi. Tuples compare by sign first, so the minimum over all arcs is
+    # always reached from the under_in of a crossing of the smallest sign.
+    low = min(c[0] for c in crossings)
+    return min(_encode_from(crossings, consumer, c[1]) for c in crossings if c[0] == low)
 
 
 def canonical_raw(
     crossings: Sequence[RawCrossing], free_loops: int
 ) -> tuple:
-    """Canonical form: sorted per-component minimal encodings plus loop count."""
+    """Canonical form: sorted per-component minimal encodings plus loop count.
+
+    Each connected piece is walked only from the start arcs that can give
+    its minimal encoding (see ``_canonical_component``); ``len(key[0])`` is
+    the number of pieces.
+    """
     comps = _split_components(crossings)
     return (tuple(sorted(_canonical_component(c) for c in comps)), free_loops)
 

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from random import Random
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from knitweave.braid import (
     BraidWord,
@@ -111,6 +111,17 @@ class KnittedTemplate:
         return ValidationReport(not failures, failures)
 
 
+class _Candidate(NamedTuple):
+    """Boxes and a wiring that is already a bijection, not yet a template.
+
+    The template checks read only these two fields, so the sampler runs them
+    on candidates and builds a ``KnittedTemplate`` only for the one it keeps.
+    """
+
+    boxes: tuple[int, ...]
+    wiring: tuple[tuple[Endpoint, Endpoint], ...]
+
+
 @dataclass(frozen=True)
 class KnittedDiagram:
     """A template with a braid word filled into each box."""
@@ -141,13 +152,14 @@ class TemplateError(ValueError):
         self.report = report
 
 
-def _circles(t: KnittedTemplate) -> list[list[int]]:
+def _circles(t: KnittedTemplate | _Candidate) -> list[list[int]]:
     """Seifert circles of the template: each is the list of boxes it visits.
 
     With identity braids a strand enters in_p and leaves out_p, so circles
-    are the orbits of wiring followed by identity pass-through.
+    are the orbits of wiring followed by identity pass-through. The order of
+    the wiring pairs does not matter.
     """
-    wmap = t.wiring_map
+    wmap = dict(t.wiring)
     todo = set(wmap)
     circles: list[list[int]] = []
     while todo:
@@ -165,7 +177,7 @@ def _circles(t: KnittedTemplate) -> list[list[int]]:
     return circles
 
 
-def _ribbon_planar(t: KnittedTemplate) -> bool:
+def _ribbon_planar(t: KnittedTemplate | _Candidate) -> bool:
     """Genus-0 test for the box-and-wire ribbon graph.
 
     Each box is a vertex with counterclockwise port rotation
@@ -180,7 +192,7 @@ def _ribbon_planar(t: KnittedTemplate) -> bool:
     return _genus_zero([range(a, b) for a, b in zip(start, start[1:])], partner)
 
 
-def _failures(t: KnittedTemplate) -> Iterator[str]:
+def _failures(t: KnittedTemplate | _Candidate) -> Iterator[str]:
     """Each failed template condition, lazily and cheapest check first.
 
     Almost every random wiring already fails a circle check, so the ribbon
@@ -534,9 +546,9 @@ def random_template(
             total += 1
             targets = list(endpoints)
             rng.shuffle(targets)
-            t = KnittedTemplate(boxes, tuple(zip(endpoints, targets)))
-            if next(_failures(t), None) is None:
-                return t, total
+            wiring = tuple(zip(endpoints, targets))
+            if next(_failures(_Candidate(boxes, wiring)), None) is None:
+                return KnittedTemplate(boxes, wiring), total
     raise RuntimeError(f"no valid template found in {total} tries")
 
 

@@ -10,9 +10,14 @@ components ordered likewise). A diagram is descending when every crossing is
 first met on its over-strand; such a diagram is an unlink with framing and
 evaluates to v^-w * delta^(c-1). The first violation is resolved through the
 skein relation: the switched diagram is the main branch and the oriented
-smoothing carries the z weight. Values are memoized on a canonical
-relabeling of the diagram; split diagrams factor as the product of their
-pieces times delta^(pieces-1).
+smoothing carries the z weight.
+
+Values are memoized on ``diagram.canonical_raw``: per connected piece, the
+least of its encodings walked from each start arc, computed from the
+under_in of each crossing of the piece's smallest sign only (no other start
+can give the least encoding). The key holds one encoding per piece, so only
+a node whose key has several pieces or free loops is split again; split
+diagrams factor as the product of their pieces times delta^(pieces-1).
 
 The memo table is module-level state shared by every evaluation in the
 process; evaluations run one at a time and are deterministic.
@@ -156,8 +161,10 @@ def _eval(crossings: tuple[RawCrossing, ...], free_loops: int) -> LaurentVZ:
     if cached is not None:
         return cached
 
-    comps = _split_components(crossings)
-    if len(comps) > 1 or free_loops:
+    # the key holds one encoding per connected piece, so a one-piece diagram
+    # without free loops needs no second split
+    if len(key[0]) > 1 or free_loops:
+        comps = _split_components(crossings)
         val = LaurentVZ.one()
         for comp in comps:
             val = val * _eval(comp, 0)

@@ -1,12 +1,17 @@
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+from random import Random
 
+import knitweave
 from knitweave import cli
 from knitweave.cli import main, render_table
 from knitweave.gallery import write_showcase_json
+from knitweave.knitted import knitted_from_json, random_knitted
 from knitweave.laurent import LaurentVZ, LaurentZ
 
 
@@ -113,6 +118,29 @@ def test_random_test_summary_and_determinism():
     assert out1.startswith("12/12 pass")
 
 
+def test_random_test_failure_prints_replayable_sample(monkeypatch):
+    rc, out = run_cli("random-test", "--seed", "7", "--count", "2")
+    assert rc == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "2/2 pass",
+        "template sampling retries",
+    ]
+
+    real = cli.verify_theorem
+
+    def failing(k):
+        return dataclasses.replace(real(k), equality_holds=False)
+
+    monkeypatch.setattr(cli, "verify_theorem", failing)
+    rc, out = run_cli("random-test", "--seed", "7", "--count", "2")
+    assert rc == 1
+    lines = out.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("first failure: sample 0 "))
+    replayed = knitted_from_json(json.loads(lines[at + 1]))
+    sampled, _ = random_knitted(Random(cli._sample_seed(7, 0)), 3, 3, 4)
+    assert replayed == sampled
+
+
 def test_random_test_zero_count():
     rc, out = run_cli("random-test", "--count", "0")
     assert rc == 0 and out.strip() == "0/0 pass"
@@ -151,10 +179,14 @@ def test_parse_failure_exit_codes(tmp_path):
 
 
 def test_console_entry_point_runs():
+    # the child imports the same package as this test, however pytest found it
+    src = str(Path(knitweave.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "knitweave.cli", "homfly", "--braid", "1", "--strands", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "framed H   = v^-1" in proc.stdout
