@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 
@@ -43,30 +42,11 @@ from knitweave.knitted import (
 from knitweave.laurent import LaurentVZ
 from knitweave.skein import homfly, homfly_framed, mfw_check, mp_vanishing
 
-__all__ = ["RunConfig", "main", "render_table"]
+__all__ = ["main", "render_table"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
-
-
-@dataclass
-class RunConfig:
-    """Resolved options of one CLI invocation; seeded runs are reproducible."""
-
-    subcommand: str
-    braid: str | None = None
-    strands: int | None = None
-    pd_path: str | None = None
-    knitted_path: str | None = None
-    output_format: str = "text"
-    seed: int = 0
-    count: int = 0
-    max_boxes: int = 3
-    max_strands: int = 3
-    max_word_length: int = 4
-    basis: str = "ppb"
-    table_path: str | None = None
 
 
 def render_table(p: LaurentVZ) -> str:
@@ -111,25 +91,25 @@ def _load_knitted(path: str) -> KnittedDiagram:
     return knitted_from_json(obj)
 
 
-def _resolve_input(cfg: RunConfig) -> tuple[PlanarDiagram, KnittedDiagram | None]:
+def _resolve_input(args: argparse.Namespace) -> tuple[PlanarDiagram, KnittedDiagram | None]:
     """Turn the input flags into a diagram (and the knitted form if given)."""
-    if cfg.braid is not None:
-        if cfg.strands is None:
+    if args.braid is not None:
+        if args.strands is None:
             raise ValueError("--braid requires --strands")
-        word = parse_braid_word(cfg.braid, cfg.strands)
+        word = parse_braid_word(args.braid, args.strands)
         k = braid_closure_knitted(word)
         return compile_diagram(k), k
-    if cfg.knitted_path is not None:
-        k = _load_knitted(cfg.knitted_path)
+    if args.knitted_path is not None:
+        k = _load_knitted(args.knitted_path)
         return compile_diagram(k), k
-    if cfg.pd_path is not None:
-        text = Path(cfg.pd_path).read_text()
+    if args.pd_path is not None:
+        text = Path(args.pd_path).read_text()
         return parse_pd(text), None
     raise ValueError("no input given; use --braid, --pd, or --knitted")
 
 
-def cmd_homfly(cfg: RunConfig, out) -> int:
-    d, k = _resolve_input(cfg)
+def cmd_homfly(args: argparse.Namespace, out) -> int:
+    d, k = _resolve_input(args)
     if k is not None:
         framed = eval_hecke(k)
         s = seifert_count(k.template)
@@ -141,7 +121,7 @@ def cmd_homfly(cfg: RunConfig, out) -> int:
         s, w = result.seifert_count, result.writhe
     mfw_ok = mfw_check(framed, s)
     plus_zero, minus_zero = mp_vanishing(d)
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         payload = {
             "framed": framed.to_json_dict(),
             "unframed": unframed.to_json_dict(),
@@ -152,7 +132,7 @@ def cmd_homfly(cfg: RunConfig, out) -> int:
             "mp_predicts_minus_zero": minus_zero,
         }
         print(json.dumps(payload, indent=2), file=out)
-    elif cfg.output_format == "table":
+    elif args.output_format == "table":
         print("framed H:", file=out)
         print(render_table(framed), file=out)
         print("unframed P:", file=out)
@@ -173,8 +153,8 @@ def _print_stats(out, s: int, w: int, mfw_ok: bool, plus_zero: bool, minus_zero:
     print(f"mp predicts H- = 0: {'yes' if minus_zero else 'no'}", file=out)
 
 
-def cmd_verify_ft(cfg: RunConfig, out) -> int:
-    _, k = _resolve_input(cfg)
+def cmd_verify_ft(args: argparse.Namespace, out) -> int:
+    _, k = _resolve_input(args)
     if k is None:
         raise ValueError("verify-ft needs a knitted diagram or an inline braid")
     report = verify_theorem(k)
@@ -201,12 +181,10 @@ def _sample_seed(seed: int, index: int) -> int:
     return (seed * 2654435761 + index * 40503 + 12345) & 0xFFFFFFFFFFFFFFFF
 
 
-def _run_sample(
-    seed: int, index: int, cfg: RunConfig
-) -> tuple[KnittedDiagram, list[str], int]:
+def _run_sample(args: argparse.Namespace, index: int) -> tuple[KnittedDiagram, list[str], int]:
     """All per-sample checks; returns the sample, failed check names and retries."""
-    rng = Random(_sample_seed(seed, index))
-    k, tries = random_knitted(rng, cfg.max_boxes, cfg.max_strands, cfg.max_word_length)
+    rng = Random(_sample_seed(args.seed, index))
+    k, tries = random_knitted(rng, args.max_boxes, args.max_strands, args.max_word_length)
     failures: list[str] = []
     report = verify_theorem(k)
     if not report.equality_holds:
@@ -235,10 +213,10 @@ def _run_sample(
     return k, failures, tries
 
 
-def cmd_random_test(cfg: RunConfig, out) -> int:
-    results = [_run_sample(cfg.seed, i, cfg) for i in range(cfg.count)]
+def cmd_random_test(args: argparse.Namespace, out) -> int:
+    results = [_run_sample(args, i) for i in range(args.count)]
     passed = sum(1 for _, fails, _ in results if not fails)
-    print(f"{passed}/{cfg.count} pass", file=out)
+    print(f"{passed}/{args.count} pass", file=out)
     if results:
         print(
             f"template sampling retries: {sum(t for _, _, t in results)}",
@@ -247,7 +225,7 @@ def cmd_random_test(cfg: RunConfig, out) -> int:
     for i, (k, fails, _) in enumerate(results):
         if fails:
             print(
-                f"first failure: sample {i} (seed {_sample_seed(cfg.seed, i)}): "
+                f"first failure: sample {i} (seed {_sample_seed(args.seed, i)}): "
                 + ", ".join(fails),
                 file=out,
             )
@@ -257,25 +235,25 @@ def cmd_random_test(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def cmd_hecke_expand(cfg: RunConfig, out) -> int:
-    if cfg.braid is None or cfg.strands is None:
+def cmd_hecke_expand(args: argparse.Namespace, out) -> int:
+    if args.braid is None or args.strands is None:
         raise ValueError("hecke-expand needs --braid and --strands")
-    word = parse_braid_word(cfg.braid, cfg.strands)
+    word = parse_braid_word(args.braid, args.strands)
     x = expand_word(word)
-    if cfg.basis in ("ppb", "both"):
+    if args.basis in ("ppb", "both"):
         print("PPB expansion:", file=out)
         print(render_element(x), file=out)
-    if cfg.basis in ("npb", "both"):
+    if args.basis in ("npb", "both"):
         print("NPB expansion:", file=out)
         print(render_element(convert(x, NPB)), file=out)
     return EXIT_OK
 
 
-def cmd_table(cfg: RunConfig, out) -> int:
-    if cfg.table_path is None or cfg.table_path == "-":
+def cmd_table(args: argparse.Namespace, out) -> int:
+    if args.table_path == "-":
         text = sys.stdin.read()
     else:
-        text = Path(cfg.table_path).read_text()
+        text = Path(args.table_path).read_text()
     obj = json.loads(text)
     p = LaurentVZ.from_json_dict(obj)
     print(render_table(p), file=out)
@@ -294,6 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--strands", type=int, help="strand count for --braid")
         if with_pd:
             p.add_argument("--pd", dest="pd_path", help="PD code file")
+        else:
+            p.set_defaults(pd_path=None)  # _resolve_input reads it
         p.add_argument("--knitted", dest="knitted_path", help="knitted diagram JSON file")
 
     p_h = sub.add_parser("homfly", help="compute framed and unframed HOMFLY")
@@ -332,10 +312,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = _build_parser()
-    ns = parser.parse_args(argv)
-    cfg = RunConfig(**{k: v for k, v in vars(ns).items()})
+    args = parser.parse_args(argv)
     try:
-        return _COMMANDS[cfg.subcommand](cfg, out)
+        return _COMMANDS[args.subcommand](args, out)
     except (ValueError, OSError) as exc:  # parse errors and TemplateError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

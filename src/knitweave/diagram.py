@@ -103,22 +103,33 @@ class SeifertGraph:
     edges: tuple[tuple[int, int, int], ...]  # (circle_a, circle_b, sign), a < b
 
 
+RawCrossing = tuple[int, int, int, int, int]
+
+
+def _word_crossings(letters: Iterable[int], cur: list[int], fresh: int) -> list[RawCrossing]:
+    """Raw crossings of a braid word, one per letter, read from the bottom.
+
+    ``cur`` holds the arc on each strand position and is advanced in place.
+    The left and right outputs of the k-th letter are new arcs fresh + 2k
+    and fresh + 2k + 1. Letter +i carries the strand at position i over the
+    one at i + 1, letter -i carries it under; either way the two swap.
+    """
+    raw: list[RawCrossing] = []
+    for g in letters:
+        i = abs(g)
+        left, right = cur[i - 1], cur[i]
+        p, q = fresh, fresh + 1
+        fresh += 2
+        raw.append((1, right, left, p, q) if g > 0 else (-1, left, right, q, p))
+        cur[i - 1], cur[i] = p, q
+    return raw
+
+
 def braid_closure(word: BraidWord) -> PlanarDiagram:
     """PD code of the standard closure of a braid word."""
     n = word.strands
     cur = list(range(1, n + 1))
-    fresh = n
-    crossings: list[Crossing] = []
-    for g in word.letters:
-        i = abs(g)
-        a, b = cur[i - 1], cur[i]  # left and right inputs
-        p, q = fresh + 1, fresh + 2  # left and right outputs
-        fresh += 2
-        if g > 0:
-            crossings.append(Crossing(1, under_in=b, over_in=a, under_out=p, over_out=q))
-        else:
-            crossings.append(Crossing(-1, under_in=a, over_in=b, under_out=q, over_out=p))
-        cur[i - 1], cur[i] = p, q
+    raw = _word_crossings(word.letters, cur, n + 1)
     free_loops = 0
     relabel: dict[int, int] = {}
     for j in range(n):
@@ -127,17 +138,7 @@ def braid_closure(word: BraidWord) -> PlanarDiagram:
             free_loops += 1  # untouched strand closes to a circle
         else:
             relabel[end] = start
-    if relabel:
-        crossings = [
-            Crossing(
-                c.sign,
-                relabel.get(c.under_in, c.under_in),
-                relabel.get(c.over_in, c.over_in),
-                relabel.get(c.under_out, c.under_out),
-                relabel.get(c.over_out, c.over_out),
-            )
-            for c in crossings
-        ]
+    crossings = [Crossing(s, *(relabel.get(a, a) for a in arcs)) for s, *arcs in raw]
     return PlanarDiagram(crossings, free_loops)
 
 
@@ -212,8 +213,13 @@ def writhe(d: PlanarDiagram) -> int:
 
 def component_count(d: PlanarDiagram) -> int:
     """Link components: orbits of arcs under through-strand continuation."""
-    raw, free_loops = d.raw()
-    return _link_components(raw) + free_loops
+    index: dict[int, int] = {}
+    pairs = [
+        (index.setdefault(a, len(index)), index.setdefault(b, len(index)))
+        for c in d.crossings
+        for a, b in ((c.under_in, c.under_out), (c.over_in, c.over_out))
+    ]
+    return len(set(_union_find(len(index), pairs))) + d.free_loops
 
 
 def _genus_zero(rotations: Sequence[Sequence[int]], partner: Sequence[int]) -> bool:
@@ -268,9 +274,6 @@ def planarity_check(d: PlanarDiagram) -> bool:
     return _genus_zero(rotations, partner)
 
 
-RawCrossing = tuple[int, int, int, int, int]
-
-
 def _split_components(
     crossings: Sequence[RawCrossing],
 ) -> list[tuple[RawCrossing, ...]]:
@@ -291,35 +294,24 @@ def _split_components(
     return [tuple(g) for g in groups.values()]
 
 
-def _link_components(crossings: Sequence[RawCrossing]) -> int:
-    """Link components of a crossing list: arcs joined through each crossing."""
-    index: dict[int, int] = {}
-    pairs = [
-        (index.setdefault(a, len(index)), index.setdefault(b, len(index)))
-        for _, ui, oi, uo, oo in crossings
-        for a, b in ((ui, uo), (oi, oo))
-    ]
-    return len(set(_union_find(len(index), pairs)))
-
-
 def _encode_from(
     crossings: Sequence[RawCrossing],
     consumer: Mapping[int, tuple[int, bool]],
     start: int,
-) -> tuple:
-    """Structural encoding of a connected piece walked from a given arc.
+) -> tuple[tuple, list[int]]:
+    """Structural encoding of the connected piece walked from a given arc.
 
-    ``consumer`` maps each arc to (crossing index, consumed by under_in). Arcs
-    are relabeled 0, 1, ... in discovery order along the oriented walk, so
+    ``consumer`` maps each arc to (crossing index, consumed by under_in); it
+    may cover other pieces too, which the walk never reaches. Arcs are
+    relabeled 0, 1, ... in discovery order along the oriented walk, so
     ``start`` gets label 0 and the encoding opens with the tuple of its
     consumer. When a link-component walk closes, the next start is the first
     unlabeled arc in crossing-encounter order, scanning ports in the fixed
-    role order. The encoding determines the crossing list up to arc
-    relabeling.
+    role order. Returns the encoding, which determines the piece up to arc
+    relabeling, and the indices of the piece's crossings in encounter order.
     """
     label: dict[int, int] = {}
     order: list[int] = []  # crossing indices in first-encounter order
-    total_arcs = len(consumer)
     cursor = 0  # crossings of order before this one have every arc labelled
     a = start
     n = 0
@@ -333,9 +325,15 @@ def _encode_from(
             order.append(idx)
         a = c[3] if under else c[4]
         if a in label:
-            if n == total_arcs:
+            # The walk closed. Every labelled arc is an in-arc of a crossing
+            # of order, so n == 2 * len(order) iff each of those crossings has
+            # both in-arcs labelled. A walk always goes on from an in-arc to
+            # its out-arc, so their 2 * len(order) out-arcs are labelled too:
+            # they are the n labelled arcs, and no arc leads to a crossing
+            # outside order. The piece is complete.
+            if n == 2 * len(order):
                 break
-            # walk closed; restart from the first unlabeled arc in structural
+            # Otherwise restart from the first unlabeled arc in structural
             # order. Labels are never removed, so the scan resumes at cursor.
             while all(x in label for x in crossings[order[cursor]][1:]):
                 cursor += 1
@@ -344,15 +342,18 @@ def _encode_from(
     for idx in order:
         s, ui, oi, uo, oo = crossings[idx]
         body.append((s, label[ui], label[oi], label[uo], label[oo]))
-    return tuple(body)
+    return tuple(body), order
 
 
-def _canonical_component(crossings: Sequence[RawCrossing]) -> tuple:
-    """Minimal encoding of one connected piece over all its start arcs.
+def canonical_raw(
+    crossings: Sequence[RawCrossing], free_loops: int
+) -> tuple:
+    """Canonical form: sorted per-piece minimal encodings plus loop count.
 
-    Only the start arcs that can give the minimum are walked: one per
-    crossing of the smallest sign present, so a piece with exactly one
-    negative crossing is walked once.
+    Each connected piece's minimal encoding over all its start arcs is found
+    by walking only from the under_in of each crossing of the piece's
+    smallest sign; the first of those walks also finds the piece.
+    ``len(key[0])`` is the number of pieces.
     """
     consumer: dict[int, tuple[int, bool]] = {}
     for idx, (_, ui, oi, _uo, _oo) in enumerate(crossings):
@@ -361,23 +362,27 @@ def _canonical_component(crossings: Sequence[RawCrossing]) -> tuple:
     # The start arc gets label 0 and the encoding opens with the tuple of its
     # consumer, (sign, label[ui], label[oi], ...). A start at an under_in
     # gives (s, 0, ...); a start at an over_in gives (s, >=1, 0, ...) because
-    # ui != oi. Tuples compare by sign first, so the minimum over all arcs is
-    # always reached from the under_in of a crossing of the smallest sign.
-    low = min(c[0] for c in crossings)
-    return min(_encode_from(crossings, consumer, c[1]) for c in crossings if c[0] == low)
-
-
-def canonical_raw(
-    crossings: Sequence[RawCrossing], free_loops: int
-) -> tuple:
-    """Canonical form: sorted per-component minimal encodings plus loop count.
-
-    Each connected piece is walked only from the start arcs that can give
-    its minimal encoding (see ``_canonical_component``); ``len(key[0])`` is
-    the number of pieces.
-    """
-    comps = _split_components(crossings)
-    return (tuple(sorted(_canonical_component(c) for c in comps)), free_loops)
+    # ui != oi. Tuples compare by sign first, so a piece's minimum over all
+    # arcs is always reached from the under_in of a crossing of its smallest
+    # sign.
+    covered = [False] * len(crossings)
+    encodings = []
+    for idx in sorted(range(len(crossings)), key=lambda i: crossings[i][0]):
+        if covered[idx]:
+            continue
+        # Each walk covers its whole piece, so idx is the first crossing of
+        # its piece in sign order: an earlier one would have been walked or
+        # covered, and either way idx would be covered now. Smaller signs
+        # come earlier, so idx has its piece's smallest sign, and the walk
+        # from its under_in is one of the piece's candidate walks.
+        low = crossings[idx][0]
+        best, piece = _encode_from(crossings, consumer, crossings[idx][1])
+        for j in piece:
+            covered[j] = True
+            if j != idx and crossings[j][0] == low:
+                best = min(best, _encode_from(crossings, consumer, crossings[j][1])[0])
+        encodings.append(best)
+    return (tuple(sorted(encodings)), free_loops)
 
 
 def canonical_key(d: PlanarDiagram) -> tuple:

@@ -36,7 +36,14 @@ from knitweave.braid import (
     half_twist_word,
     reduced_word,
 )
-from knitweave.diagram import Crossing, PlanarDiagram, _genus_zero, _union_find
+from knitweave.diagram import (
+    Crossing,
+    PlanarDiagram,
+    RawCrossing,
+    _genus_zero,
+    _union_find,
+    _word_crossings,
+)
 from knitweave.hecke import expand_word, top_coeff
 from knitweave.laurent import LaurentVZ, LaurentZ
 from knitweave.skein import homfly_framed
@@ -245,21 +252,13 @@ def compile_diagram(k: KnittedDiagram) -> PlanarDiagram:
         arc_of_in[dst] = w_id
 
     fresh = len(t.wiring)
-    raw: list[tuple[int, int, int, int, int]] = []
+    raw: list[RawCrossing] = []
     merges: list[tuple[int, int]] = []
     for b, word in enumerate(k.words):
         n = t.boxes[b]
         cur = [arc_of_in[(b, p)] for p in range(n)]
-        for g in word.letters:
-            i = abs(g)
-            a, c = cur[i - 1], cur[i]
-            p_out, q_out = fresh, fresh + 1
-            fresh += 2
-            if g > 0:
-                raw.append((1, c, a, p_out, q_out))
-            else:
-                raw.append((-1, a, c, q_out, p_out))
-            cur[i - 1], cur[i] = p_out, q_out
+        raw += _word_crossings(word.letters, cur, fresh)
+        fresh += 2 * len(word.letters)
         for p in range(n):
             merges.append((cur[p], arc_of_out[(b, p)]))
 
@@ -490,7 +489,7 @@ def knitted_to_json(k: KnittedDiagram) -> dict:
 
 
 def _parse_endpoint(text: str, kind: str, n_boxes: Sequence[int]) -> Endpoint:
-    m = _ENDPOINT_RE.match(text)
+    m = _ENDPOINT_RE.match(text) if isinstance(text, str) else None
     if not m:
         raise ValueError(f"bad endpoint {text!r}; expected b<i>.{kind}<j>")
     box, k, pos = int(m.group(1)), m.group(2), int(m.group(3))
@@ -506,13 +505,16 @@ def _parse_endpoint(text: str, kind: str, n_boxes: Sequence[int]) -> Endpoint:
 def knitted_from_json(obj: dict) -> KnittedDiagram:
     if not isinstance(obj, dict) or "boxes" not in obj or "wiring" not in obj:
         raise ValueError("knitted JSON needs 'boxes' and 'wiring'")
+    for field in ("boxes", "wiring"):
+        if not isinstance(obj[field], list):
+            raise ValueError(f"knitted JSON '{field}' must be a list, got {obj[field]!r}")
     strands: list[int] = []
     words: list[BraidWord] = []
     for i, box in enumerate(obj["boxes"]):
         try:
             n = int(box["strands"])
             letters = tuple(int(g) for g in box.get("word", []))
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise ValueError(f"box {i}: expected strands and a word list") from exc
         strands.append(n)
         words.append(BraidWord(n, letters))

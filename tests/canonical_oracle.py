@@ -17,5 +17,5 @@ def brute_force_canonical(crossings, free_loops: int) -> tuple:
         for idx, (_, ui, oi, _uo, _oo) in enumerate(piece):
             consumer[ui] = (idx, True)
             consumer[oi] = (idx, False)
-        encodings.append(min(_encode_from(piece, consumer, a) for a in consumer))
+        encodings.append(min(_encode_from(piece, consumer, a)[0] for a in consumer))
     return (tuple(sorted(encodings)), free_loops)

@@ -1,17 +1,22 @@
 """Suite-wide audit: every framed polynomial the engine produces is checked.
 
-A hook on the skein evaluator asserts, at the moment of computation, that the
-result respects the Seifert-circle degree bounds, the v/z parity pattern, and
-the forced extreme-coefficient zeros of single-crossing circle pairs. Small
-diagrams are also collected (deduplicated) so the acceptance suite can replay
-them through the independent naive evaluator.
+For the whole session ``homfly_framed`` is wrapped on every loaded knitweave
+module that binds it, so modules imported later bind the wrapper too. The
+wrapper asserts, at the moment of computation, that the result respects the
+Seifert-circle degree bounds, the v/z parity pattern, and the forced
+extreme-coefficient zeros of single-crossing circle pairs. Small diagrams are
+also collected (deduplicated) so the acceptance suite can replay them through
+the independent naive evaluator.
 """
 
 from __future__ import annotations
 
+import sys
+
+from knitweave import skein
 from knitweave.diagram import PlanarDiagram, canonical_key, component_count, seifert_circles
 from knitweave.laurent import LaurentVZ
-from knitweave.skein import add_audit_hook, mfw_check, mp_vanishing, remove_audit_hook
+from knitweave.skein import mfw_check, mp_vanishing
 
 audited_count = 0
 small_diagrams: dict[tuple, PlanarDiagram] = {}
@@ -40,12 +45,26 @@ def _audit(d: PlanarDiagram, h: LaurentVZ) -> None:
         small_diagrams.setdefault(canonical_key(d), d)
 
 
+_real_homfly_framed = skein.homfly_framed
+
+
+def _audited_homfly_framed(d: PlanarDiagram) -> LaurentVZ:
+    value = _real_homfly_framed(d)
+    _audit(d, value)
+    return value
+
+
+def _rebind(old, new) -> None:
+    for name, mod in list(sys.modules.items()):
+        if name == "knitweave" or name.startswith("knitweave."):
+            for attr, value in list(vars(mod).items()):
+                if value is old:
+                    setattr(mod, attr, new)
+
+
 def pytest_configure(config):
-    add_audit_hook(_audit)
+    _rebind(_real_homfly_framed, _audited_homfly_framed)
 
 
 def pytest_unconfigure(config):
-    try:
-        remove_audit_hook(_audit)
-    except ValueError:
-        pass
+    _rebind(_audited_homfly_framed, _real_homfly_framed)

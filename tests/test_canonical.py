@@ -53,7 +53,10 @@ _pieces = st.one_of(
     braid_closures(),
     braid_closures(signs=(-1,)),
 )
-diagrams = st.one_of(_pieces, st.lists(_pieces, min_size=2, max_size=3).map(_disjoint_union))
+_unions = st.lists(_pieces, min_size=2, max_size=3).map(_disjoint_union)
+# shuffled unions interleave their pieces, and a mixed-sign piece may list a
+# positive crossing before its negative ones
+diagrams = st.one_of(_pieces, _unions, _unions.flatmap(st.permutations).map(tuple))
 
 # kinks: under_out == under_in (with over_out == over_in on the second
 # crossing), a one-crossing curl, and two loops meeting at one crossing
@@ -61,6 +64,15 @@ _KINKS = (
     ((1, 0, 1, 0, 2), (-1, 2, 3, 1, 3)),
     ((1, 0, 1, 1, 0),),
     ((-1, 0, 1, 0, 1),),
+)
+
+# two interleaved pieces, each listed positive first: sigma1 sigma1^-1 and
+# the Hopf link sigma1^2
+_INTERLEAVED = tuple(
+    _disjoint_union(
+        [braid_closure(BraidWord(2, w)).raw()[0] for w in ((1, -1), (1, 1))]
+    )[i]
+    for i in (0, 2, 1, 3)
 )
 
 
@@ -86,6 +98,7 @@ def counted_walks():
 @example(_KINKS[0], 0)
 @example(_KINKS[1], 2)
 @example(_KINKS[2], 1)
+@example(_INTERLEAVED, 0)
 def test_canonical_raw_matches_all_arcs_minimum(crossings, free_loops):
     assert canonical_raw(crossings, free_loops) == brute_force_canonical(crossings, free_loops)
 

@@ -167,7 +167,7 @@ def test_recursion_limit_exits_2_without_traceback(tmp_path, monkeypatch, capsys
     assert "Traceback" not in err
 
 
-def test_parse_failure_exit_codes(tmp_path):
+def test_parse_failure_exit_codes(tmp_path, capsys):
     rc, _ = run_cli("homfly", "--pd", str(tmp_path / "missing.pd"))
     assert rc == 2
     bad = tmp_path / "bad.pd"
@@ -176,6 +176,21 @@ def test_parse_failure_exit_codes(tmp_path):
     assert rc == 2
     rc, _ = run_cli("homfly", "--braid", "9", "--strands", "2")
     assert rc == 2
+    malformed = (
+        {"boxes": 5, "wiring": []},
+        {"boxes": [{"strands": 2, "word": [1]}], "wiring": 5},
+        {"boxes": [{"strands": 1, "word": []}], "wiring": [[5, "b0.in0"]]},
+        {"boxes": [{"strands": 2, "word": [float("inf")]}], "wiring": []},
+    )
+    for obj in malformed:
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(obj))
+        for command in ("homfly", "verify-ft"):
+            capsys.readouterr()
+            rc, out = run_cli(command, "--knitted", str(path))
+            err = capsys.readouterr().err
+            assert rc == 2 and out == "", (obj, command)
+            assert err.startswith("error: ") and "Traceback" not in err, (obj, command)
 
 
 def test_console_entry_point_runs():
