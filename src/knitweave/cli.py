@@ -214,6 +214,14 @@ def _run_sample(args: argparse.Namespace, index: int) -> tuple[KnittedDiagram, l
 
 
 def cmd_random_test(args: argparse.Namespace, out) -> int:
+    for flag, value, least in (
+        ("--count", args.count, 0),
+        ("--max-boxes", args.max_boxes, 1),
+        ("--max-strands", args.max_strands, 1),
+        ("--max-word-length", args.max_word_length, 0),
+    ):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
     results = [_run_sample(args, i) for i in range(args.count)]
     passed = sum(1 for _, fails, _ in results if not fails)
     print(f"{passed}/{args.count} pass", file=out)

@@ -4,8 +4,12 @@ H_n is the quotient of the braid-group algebra by sigma_i - sigma_i^-1 = z.
 Elements are stored in the positive permutation-braid (PPB) basis {T_w}; the
 negative permutation-braid (NPB) basis {U_w} is a view produced by
 ``convert``. T_w (resp. U_w) is the positive (resp. negative) braid realizing
-the permutation w with the fewest crossings; U_w is defined operationally as
-the image of the sign-negated reduced word of w.
+the permutation w with the fewest crossings; U_w is the image of any
+sign-negated reduced word of w. All reduced words of w are joined by braid
+moves (Matsumoto's theorem), and the inverses sigma_i^-1 satisfy the same
+braid relations, so every choice gives the same element. In particular
+U_w = U_{s_i o w} . sigma_i^-1 whenever s_i o w is one crossing shorter,
+which builds each U_w from a shorter one in a single generator step.
 
 Multiplication follows the package-wide composition convention (see
 ``braid``): appending a generator letter i sends the index w to s_i o w, with
@@ -14,6 +18,10 @@ Multiplication follows the package-wide composition convention (see
     T_w . sigma_i = T_{s_i o w} + z T_w              otherwise,
 
 and sigma_i^-1 = sigma_i - z applied termwise.
+
+The arithmetic runs on plain maps {w: {z-exponent: int}} with no zero terms;
+``mul_generator``, ``expand_word``, ``multiply`` and ``convert`` wrap their
+result in one ``HeckeElement`` at the end.
 """
 
 from __future__ import annotations
@@ -48,7 +56,9 @@ __all__ = [
 PPB = "PPB"
 NPB = "NPB"
 
-_Z = LaurentZ.term(1)
+# {perm: {z-exponent: coefficient}}, zero coefficients never stored
+_Poly = dict[int, int]
+_Map = dict[Perm, _Poly]
 
 
 @dataclass(frozen=True)
@@ -103,9 +113,63 @@ def basis_element(n: int, w: Perm, basis: str = PPB) -> HeckeElement:
     return HeckeElement(n, basis, {tuple(w): LaurentZ.one()})
 
 
-def _swap_values(w: Perm, i: int) -> Perm:
-    """One-line notation of s_i o w: swap the values i and i+1."""
-    return tuple(i + 1 if x == i else i if x == i + 1 else x for x in w)
+def _map_of(x: HeckeElement) -> _Map:
+    return {w: c.terms for w, c in x.coeffs.items()}
+
+
+def _element(n: int, basis: str, m: _Map) -> HeckeElement:
+    return HeckeElement(n, basis, {w: LaurentZ(c) for w, c in m.items() if c})
+
+
+def _add_product(acc: _Poly, a: _Poly, b: _Poly) -> None:
+    """acc += a * b, in place, dropping terms that cancel."""
+    for e1, k1 in a.items():
+        for e2, k2 in b.items():
+            e = e1 + e2
+            v = acc.get(e, 0) + k1 * k2
+            if v:
+                acc[e] = v
+            else:
+                del acc[e]
+
+
+def _step(m: _Map, i: int, positive: bool) -> _Map:
+    """m . sigma_i^(+-1) as a new map; m and its polynomials are not changed.
+
+    The z-term of the quadratic relation is a shift of exponents by one. It
+    appears on a positive letter that shortens w and, negated, on a negative
+    letter that lengthens it; with a negative letter that shortens w the
+    z-terms cancel exactly.
+    """
+    sign = 1 if positive else -1
+    out: _Map = {}
+    for w, c in m.items():
+        p, q = w.index(i), w.index(i + 1)
+        s = list(w)
+        s[p], s[q] = i + 1, i
+        sw = tuple(s)
+        d = out.get(sw)
+        if d is None:
+            out[sw] = dict(c)
+        else:
+            for e, k in c.items():
+                v = d.get(e, 0) + k
+                if v:
+                    d[e] = v
+                else:
+                    del d[e]
+        if (p < q) != positive:
+            d = out.get(w)
+            if d is None:
+                out[w] = {e + 1: sign * k for e, k in c.items()}
+            else:
+                for e, k in c.items():
+                    v = d.get(e + 1, 0) + sign * k
+                    if v:
+                        d[e + 1] = v
+                    else:
+                        del d[e + 1]
+    return out
 
 
 def mul_generator(x: HeckeElement, i: int, positive: bool = True) -> HeckeElement:
@@ -114,29 +178,15 @@ def mul_generator(x: HeckeElement, i: int, positive: bool = True) -> HeckeElemen
         raise ValueError("mul_generator acts on PPB elements")
     if not 1 <= i <= x.strands - 1:
         raise ValueError(f"generator index {i} out of range for {x.strands} strands")
-    out: dict[Perm, LaurentZ] = {}
-
-    def add(w: Perm, c: LaurentZ) -> None:
-        out[w] = out.get(w, LaurentZ.zero()) + c
-
-    for w, c in x.coeffs.items():
-        sw = _swap_values(w, i)
-        length_up = w.index(i) < w.index(i + 1)
-        add(sw, c)
-        if length_up and not positive:
-            add(w, -(_Z * c))
-        elif not length_up and positive:
-            add(w, _Z * c)
-        # length down with a negative letter: the z-terms cancel exactly
-    return HeckeElement(x.strands, PPB, out)
+    return _element(x.strands, PPB, _step(_map_of(x), i, positive))
 
 
 def expand_word(word: BraidWord) -> HeckeElement:
     """The image of a braid word in H_n, expanded in the PPB basis."""
-    x = unit(word.strands)
+    m: _Map = {identity_perm(word.strands): {0: 1}}
     for g in word.letters:
-        x = mul_generator(x, abs(g), g > 0)
-    return x
+        m = _step(m, abs(g), g > 0)
+    return _element(word.strands, PPB, m)
 
 
 def multiply(x: HeckeElement, y: HeckeElement) -> HeckeElement:
@@ -145,57 +195,86 @@ def multiply(x: HeckeElement, y: HeckeElement) -> HeckeElement:
         raise ValueError("multiply acts on PPB elements")
     if x.strands != y.strands:
         raise ValueError("strand counts differ")
-    total = HeckeElement(x.strands, PPB, {})
-    for w, c in sorted(y.coeffs.items()):
-        t = x
+    left = _map_of(x)
+    out: _Map = {}
+    for w, c in y.coeffs.items():
+        t = left
         for g in reduced_word(w).letters:
-            t = mul_generator(t, g, True)
-        total = total + t.scaled(c)
-    return total
+            t = _step(t, g, True)
+        c = c.terms
+        for u, d in t.items():
+            _add_product(out.setdefault(u, {}), d, c)
+    return _element(x.strands, PPB, out)
 
 
-_NPB_IN_PPB_CACHE: dict[Perm, HeckeElement] = {}
+# U_w in the PPB basis, by w; read-only once stored, because every U_w built
+# later starts from one of them
+_NPB_IN_PPB_CACHE: dict[Perm, _Map] = {}
 
 
-def _npb_in_ppb(w: Perm) -> HeckeElement:
-    """U_w expanded in the PPB basis (image of the all-negative reduced word)."""
+def _npb_in_ppb(w: Perm) -> _Map:
+    """U_w expanded in the PPB basis; the caller must not change the map.
+
+    Walks down w -> s_i o w, taking the smallest i with i+1 before i in w,
+    until a cached or identity permutation, then builds each U back up with
+    one sigma_i^-1 step.
+    """
     w = tuple(w)
-    cached = _NPB_IN_PPB_CACHE.get(w)
-    if cached is None:
-        pos = reduced_word(w)
-        cached = expand_word(BraidWord(len(w), tuple(-g for g in pos.letters)))
-        _NPB_IN_PPB_CACHE[w] = cached
-    return cached
+    chain: list[tuple[Perm, int]] = []
+    m = _NPB_IN_PPB_CACHE.get(w)
+    while m is None:
+        i = next((i for i in range(1, len(w)) if w.index(i + 1) < w.index(i)), 0)
+        if not i:  # the identity
+            m = _NPB_IN_PPB_CACHE[w] = {w: {0: 1}}
+            break
+        chain.append((w, i))
+        s = list(w)
+        s[w.index(i)], s[w.index(i + 1)] = i + 1, i
+        w = tuple(s)
+        m = _NPB_IN_PPB_CACHE.get(w)
+    for w, i in reversed(chain):
+        m = _NPB_IN_PPB_CACHE[w] = _step(m, i, False)
+    return m
 
 
 def convert(x: HeckeElement, target: str) -> HeckeElement:
     """Re-express an element in the target basis.
 
     U_w = T_w + (strictly shorter T-terms), so PPB -> NPB is a triangular
-    substitution peeled from the longest support element downward.
+    substitution peeled by Coxeter length, longest first. Subtracting c U_w
+    for one w of length L changes only shorter terms, so every element of
+    length L can be peeled in any order before moving to L - 1.
     """
     if target not in (PPB, NPB):
         raise ValueError(f"unknown basis tag {target!r}")
     if x.basis == target:
         return x
     if target == PPB:
-        total = HeckeElement(x.strands, PPB, {})
-        for w, c in sorted(x.coeffs.items()):
-            total = total + _npb_in_ppb(w).scaled(c)
-        return total
-    work = dict(x.coeffs)
-    out: dict[Perm, LaurentZ] = {}
-    while True:
-        support = [w for w, c in work.items() if c]
-        if not support:
-            break
-        w = max(support, key=lambda p: (coxeter_length(p), p))
-        c = work[w]
-        out[w] = c
-        # U_w has unit coefficient on T_w, so this zeroes work[w] exactly
-        for u, d in _npb_in_ppb(w).coeffs.items():
-            work[u] = work.get(u, LaurentZ.zero()) - c * d
-    return HeckeElement(x.strands, NPB, out)
+        total: _Map = {}
+        for w, c in x.coeffs.items():
+            c = c.terms
+            for u, d in _npb_in_ppb(w).items():
+                _add_product(total.setdefault(u, {}), c, d)
+        return _element(x.strands, PPB, total)
+    lengths = {w: coxeter_length(w) for w in x.coeffs}
+    work: dict[int, _Map] = {}
+    for w, c in x.coeffs.items():
+        work.setdefault(lengths[w], {})[w] = c.terms
+    out: _Map = {}
+    for length in range(max(work, default=-1), -1, -1):
+        for w, c in work.pop(length, {}).items():
+            if not c:
+                continue
+            out[w] = c
+            minus_c = {e: -k for e, k in c.items()}
+            for u, d in _npb_in_ppb(w).items():
+                if u == w:  # unit coefficient: this term is the one peeled
+                    continue
+                lu = lengths.get(u)
+                if lu is None:
+                    lu = lengths[u] = coxeter_length(u)
+                _add_product(work.setdefault(lu, {}).setdefault(u, {}), minus_c, d)
+    return _element(x.strands, NPB, out)
 
 
 def top_coeff(x: HeckeElement) -> LaurentZ:

@@ -98,6 +98,9 @@ class KnittedTemplate:
         )
         if any(n < 1 for n in self.boxes):
             raise ValueError("every box needs at least one strand")
+        # checked first, so a huge strand count costs nothing to reject
+        if len(self.wiring) != sum(self.boxes):
+            raise ValueError("wiring must use every box output exactly once")
         outs = [src for src, _ in self.wiring]
         ins = [dst for _, dst in self.wiring]
         expected = {

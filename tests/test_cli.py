@@ -146,6 +146,24 @@ def test_random_test_zero_count():
     assert rc == 0 and out.strip() == "0/0 pass"
 
 
+def test_random_test_rejects_out_of_range_flags(capsys):
+    for flag, value in (
+        ("--count", "-5"),
+        ("--max-boxes", "0"),
+        ("--max-strands", "0"),
+        ("--max-strands", "-2"),
+        ("--max-word-length", "-1"),
+    ):
+        capsys.readouterr()
+        rc, out = run_cli("random-test", "--count", "1", flag, value)
+        err = capsys.readouterr().err
+        assert rc == 2 and out == "", (flag, value)
+        assert err.startswith("error: ") and flag in err, (flag, value)
+    rc, out = run_cli("random-test", "--count", "1", "--max-boxes", "1", "--max-strands", "1",
+                      "--max-word-length", "0")
+    assert rc == 0 and out.startswith("1/1 pass")
+
+
 def test_hecke_expand_output():
     rc, out = run_cli("hecke-expand", "--braid", "1,1", "--strands", "2", "--basis", "both")
     assert rc == 0

@@ -1,6 +1,8 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knitweave.braid import BraidWord, perm_of_word, writhe_word
 from knitweave.diagram import (
@@ -231,3 +233,40 @@ def test_pd_parse_reports_position():
 def test_pd_free_loops():
     d = parse_pd("O O X[1,2,1,2;+]")
     assert d.free_loops == 2 and len(d.crossings) == 1
+
+
+_PD_TOKENS = st.one_of(
+    st.builds(
+        "X[{},{},{},{};{}]".format,
+        *[st.integers(-2, 6)] * 4,
+        st.sampled_from("+-"),
+    ),
+    st.sampled_from(["O", "X", "[", "]", ";", ",", "+", "1", "X[1,2,1,2;", "-0", "\n", "\t", " "]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def _pd_texts(draw):
+    """Closed PD texts with 0-4 crossings, some with one junk token inserted."""
+    k = draw(st.integers(0, 4))
+    ins = draw(st.permutations(range(1, 2 * k + 1)))
+    outs = draw(st.permutations(ins))
+    tokens = [
+        f"X[{ins[2 * j]},{ins[2 * j + 1]},{outs[2 * j]},{outs[2 * j + 1]};{draw(st.sampled_from('+-'))}]"
+        for j in range(k)
+    ]
+    tokens += ["O"] * draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(_PD_TOKENS))
+    return draw(st.sampled_from(" \n")).join(tokens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(_PD_TOKENS, max_size=8).map(" ".join), _pd_texts()))
+def test_parse_pd_accepts_or_raises_value_error(text):
+    try:
+        d = parse_pd(text)
+    except ValueError:  # PDParseError included; the CLI exits 2 on these
+        return
+    assert parse_pd(format_pd(d)) == d

@@ -1,9 +1,20 @@
+import copy
 from itertools import permutations
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from knitweave.braid import BraidWord, full_twist_word, half_twist_word, longest_element
+import naive_hecke as naive
+from knitweave import hecke
+from knitweave.braid import (
+    BraidWord,
+    full_twist_word,
+    half_twist_word,
+    longest_element,
+    reduced_word,
+)
 from knitweave.hecke import (
     NPB,
     PPB,
@@ -181,3 +192,59 @@ def test_render_element_order():
 
 def test_zero_element_renders_as_zero():
     assert render_element(HeckeElement(2, PPB, {})) == "0"
+
+
+def _words(n: int):
+    letters = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    return st.lists(letters, max_size=8).map(lambda ls: BraidWord(n, tuple(ls)))
+
+
+_POLYS = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=3).map(LaurentZ)
+
+
+@st.composite
+def _cases(draw):
+    n = draw(st.integers(2, 5))
+    words = draw(st.lists(_words(n), min_size=2, max_size=3))
+    polys = draw(st.lists(_POLYS, min_size=len(words), max_size=len(words)))
+    return words, polys
+
+
+# 6-strand permutation braids: peeling T_w to NPB visits the Bruhat interval
+# below w, 100 and 296 elements here
+@settings(max_examples=80, deadline=None)
+@given(_cases())
+@example(([reduced_word((3, 5, 1, 6, 2, 4)), BraidWord(6, (1, -2, 3, -4, 5))], [ONE, Z]))
+@example(([reduced_word((4, 6, 2, 5, 1, 3)), reduced_word((2, 1, 4, 3, 6, 5))], [Z, -ONE]))
+@example(([BraidWord(6, (-1, -3, -5)), reduced_word((2, 1, 4, 3, 6, 5))], [LaurentZ({-1: 2, 1: -1}), ONE]))
+def test_kernel_matches_the_naive_reference(case):
+    words, polys = case
+    n = words[0].strands
+    x, y = expand_word(words[0]), expand_word(words[1])
+    assert x == naive.expand_word(words[0]) and y == naive.expand_word(words[1])
+    assert multiply(x, y) == naive.multiply(x, y)
+    assert mul_generator(x, 1, False) == naive.mul_generator(x, 1, False)
+    elem = HeckeElement(n, PPB, {})
+    for w, c in zip(words, polys):
+        elem = elem + naive.expand_word(w).scaled(c)
+    assert convert(elem, NPB) == naive.convert(elem, NPB)
+    as_npb = HeckeElement(n, NPB, elem.coeffs)
+    assert convert(as_npb, PPB) == naive.convert(as_npb, PPB)
+
+
+def test_npb_basis_is_the_negated_reduced_word_image(monkeypatch):
+    monkeypatch.setattr(hecke, "_NPB_IN_PPB_CACHE", {})
+    for n in range(1, 6):
+        for w in permutations(range(1, n + 1)):
+            negated = BraidWord(n, tuple(-g for g in reduced_word(w).letters))
+            assert convert(basis_element(n, w, NPB), PPB) == expand_word(negated), w
+    stored = copy.deepcopy(hecke._NPB_IN_PPB_CACHE)
+    for x in (expand_word(half_twist_word(5)), expand_word(full_twist_word(5))):
+        y = convert(x, NPB)
+        for _ in range(2):
+            # returned values are the caller's: changing them changes no later result
+            to_npb, to_ppb = convert(x, NPB), convert(y, PPB)
+            assert to_npb == y and to_ppb == x
+            to_npb.coeffs.clear()
+            to_ppb.coeffs.clear()
+    assert hecke._NPB_IN_PPB_CACHE == stored

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knitweave import knitted
 from knitweave.braid import BraidWord, full_twist_word
@@ -334,6 +340,87 @@ def test_json_rejects_broken_wiring():
     obj2["wiring"][0] = ["b0.out9", "b0.in0"]
     with pytest.raises(ValueError):
         knitted_from_json(obj2)
+
+
+# numbers stay small here: a huge strand count has its own test, run under a
+# memory cap
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-10**6, 10**6)
+    | st.floats(-1e6, 1e6)
+    | st.sampled_from([float("nan"), float("inf")])
+    | st.text(max_size=10),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=20,
+)
+_JUNK = st.one_of(
+    _JSON,
+    st.from_regex(r"b-?\d{1,25}\.(in|out|up)\d{1,25}\n?", fullmatch=True),
+)
+
+
+@st.composite
+def _knitted_objects(draw):
+    """Knitted JSON for a random wiring of 1-3 boxes, often with one part broken."""
+    boxes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    ends = [(b, p) for b, n in enumerate(boxes) for p in range(n)]
+    ins = draw(st.permutations([f"b{b}.in{p}" for b, p in ends]))
+    words = []
+    for n in boxes:
+        letters = [g for g in (-2, -1, 1, 2) if abs(g) < n]
+        words.append(draw(st.lists(st.sampled_from(letters), max_size=3)) if letters else [])
+    obj = {
+        "boxes": [{"strands": n, "word": word} for n, word in zip(boxes, words)],
+        "wiring": [[f"b{b}.out{p}", dst] for (b, p), dst in zip(ends, ins)],
+    }
+    where = draw(st.sampled_from(["none", "box", "strands", "word", "pair", "endpoint", "field", "all"]))
+    junk = draw(_JUNK)
+    box = draw(st.integers(0, len(boxes) - 1))
+    pair = draw(st.integers(0, len(ends) - 1))
+    if where == "box":
+        obj["boxes"][box] = junk
+    elif where in ("strands", "word"):
+        obj["boxes"][box][where] = junk
+    elif where == "pair":
+        obj["wiring"][pair] = junk
+    elif where == "endpoint":
+        obj["wiring"][pair][draw(st.integers(0, 1))] = junk
+    elif where == "field":
+        obj[draw(st.sampled_from(["boxes", "wiring"]))] = junk
+    elif where == "all":
+        obj = junk
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(_knitted_objects())
+def test_knitted_from_json_accepts_or_raises_value_error(obj):
+    try:
+        k = knitted_from_json(obj)
+    except ValueError:  # TemplateError included; the CLI exits 2 on these
+        return
+    assert knitted_from_json(knitted_to_json(k)) == k
+
+
+def test_json_rejects_huge_strand_counts_at_once():
+    # in a child under a 1 GiB address-space cap, so listing 10**15 endpoints
+    # would end in MemoryError rather than take the host's memory
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from knitweave.knitted import knitted_from_json\n"
+        "try:\n"
+        "    knitted_from_json({'boxes': [{'strands': 10**15, 'word': []}], 'wiring': []})\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(knitted.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.stdout.strip() == "wiring must use every box output exactly once", proc.stderr
 
 
 def test_random_template_respects_bounds_and_validates():
