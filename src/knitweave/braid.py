@@ -13,6 +13,7 @@ the current permutation w to s_i o w (swap of the values i, i+1).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 __all__ = [
@@ -31,6 +32,8 @@ __all__ = [
 ]
 
 Perm = tuple[int, ...]
+
+_LETTER = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -138,17 +141,20 @@ def writhe_word(word: BraidWord) -> int:
 
 
 def parse_braid_word(text: str, strands: int) -> BraidWord:
-    """Parse the CLI syntax: comma-separated signed integers, e.g. "1,-2,1"."""
+    """Parse the CLI syntax: comma-separated signed integers, e.g. "1,-2,1".
+
+    Letters are ASCII digits: ``int`` alone would also take other scripts'
+    digits and underscores.
+    """
     stripped = text.strip()
     if not stripped:
         return BraidWord(strands, ())
     letters = []
     for i, tok in enumerate(stripped.split(",")):
         tok = tok.strip()
-        try:
-            letters.append(int(tok))
-        except ValueError as exc:
-            raise ValueError(f"bad braid letter {tok!r} at position {i}") from exc
+        if not _LETTER.fullmatch(tok):
+            raise ValueError(f"bad braid letter {tok!r} at position {i}")
+        letters.append(int(tok))
     return BraidWord(strands, tuple(letters))
 
 

@@ -8,7 +8,7 @@ grid).
 
 Exit codes: 0 on success, 1 on verification failure, 2 on input that cannot
 be parsed or evaluated (including input deep enough to exhaust Python's
-recursion limit).
+recursion limit, and ``--strands`` above ``MAX_STRANDS``).
 """
 
 from __future__ import annotations
@@ -47,6 +47,12 @@ __all__ = ["main", "render_table"]
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
+
+# The largest --strands accepted: four times the 8 strands of FT_8, the
+# largest full twist the engine aims at. Above it, building the closure and
+# its Hecke basis grows with the strand count alone (--braid 1 on 5000
+# strands took 12 s), so the flag is checked before anything is built.
+MAX_STRANDS = 32
 
 
 def render_table(p: LaurentVZ) -> str:
@@ -322,6 +328,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        strands = getattr(args, "strands", None)
+        if strands is not None and strands > MAX_STRANDS:
+            raise ValueError(f"--strands must be at most {MAX_STRANDS}, got {strands}")
         return _COMMANDS[args.subcommand](args, out)
     except (ValueError, OSError) as exc:  # parse errors and TemplateError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

@@ -401,14 +401,17 @@ class PDParseError(ValueError):
 
 
 _TOKEN = re.compile(
-    r"X\s*\[\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*;\s*([+-])\s*\]|O"
+    r"X\s*\[\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*;\s*([+-])\s*\]|O",
+    re.ASCII,
 )
+_SPACE = re.compile(r"\s+", re.ASCII)
 
 
 def parse_pd(text: str) -> PlanarDiagram:
     """Parse the PD text format: "X[a,b,c,d;+]" per crossing, "O" per circle.
 
-    The bracket lists (under_in, over_in, under_out, over_out). Whitespace is
+    The bracket lists (under_in, over_in, under_out, over_out). The format is
+    ASCII: digits and whitespace outside ASCII are rejected. Whitespace is
     free between tokens; invariant violations are reported with the position
     of the offending token.
     """
@@ -423,8 +426,9 @@ def parse_pd(text: str) -> PlanarDiagram:
     free_loops = 0
     i = 0
     while i < len(text):
-        if text[i].isspace():
-            i += 1
+        space = _SPACE.match(text, i)
+        if space:
+            i = space.end()
             continue
         m = _TOKEN.match(text, i)
         if not m:

@@ -475,7 +475,8 @@ def braid_closure_knitted(word: BraidWord) -> KnittedDiagram:
     return KnittedDiagram(braid_closure_template(word.strands), (word,))
 
 
-_ENDPOINT_RE = re.compile(r"^b(\d+)\.(in|out)(\d+)$")
+# used with fullmatch: ``$`` would also match before a trailing newline
+_ENDPOINT_RE = re.compile(r"b(\d+)\.(in|out)(\d+)", re.ASCII)
 
 
 def knitted_to_json(k: KnittedDiagram) -> dict:
@@ -492,7 +493,7 @@ def knitted_to_json(k: KnittedDiagram) -> dict:
 
 
 def _parse_endpoint(text: str, kind: str, n_boxes: Sequence[int]) -> Endpoint:
-    m = _ENDPOINT_RE.match(text) if isinstance(text, str) else None
+    m = _ENDPOINT_RE.fullmatch(text) if isinstance(text, str) else None
     if not m:
         raise ValueError(f"bad endpoint {text!r}; expected b<i>.{kind}<j>")
     box, k, pos = int(m.group(1)), m.group(2), int(m.group(3))

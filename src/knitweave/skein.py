@@ -21,6 +21,18 @@ holds one encoding per piece, so only a node whose key has several pieces or
 free loops is split again, keeping its arc labels; split diagrams factor as
 the product of their pieces times delta^(pieces-1).
 
+The memo holds kink-free diagrams only. A kink (an R1 curl) is a crossing
+with under_out == over_in or over_out == under_in; splicing the strand
+through removes it at a factor of v^-sign, and a crossing with both
+equalities closes on itself and becomes a free loop. ``homfly_framed``
+removes the root's kinks before the first lookup. Below the root only a
+smoothing can make a kink: switching a crossing maps the two kink
+conditions onto each other, splitting into pieces keeps every arc label,
+and only the splice of a smoothing joins two arcs, which can close a strand
+back onto a crossing next to the smoothed one. So ``_smooth`` checks the
+crossings it rebuilds anyway and removes any kinks, and those their removal
+exposes, before the smoothed child's lookup.
+
 The memo table is module-level state shared by every evaluation in the
 process; evaluations run one at a time and are deterministic.
 """
@@ -108,13 +120,56 @@ def _switch(crossings: tuple[RawCrossing, ...], idx: int) -> tuple[RawCrossing, 
     return crossings[:idx] + (switched,) + crossings[idx + 1 :]
 
 
+def _unkink(
+    crossings: list[RawCrossing], kinks: list[int]
+) -> tuple[tuple[RawCrossing, ...], int, int]:
+    """Remove every kink, and every kink a removal exposes.
+
+    ``kinks`` indexes the kinks of ``crossings``. A kink with under_out ==
+    over_in is spliced out by renaming its over_out, where the next crossing
+    consumes it, to its under_in; one with over_out == under_in likewise
+    renames its under_out to its over_in. The renamed crossing is a kink now
+    iff it produces the arc it was given, so only it is checked again. A
+    crossing with both equalities closes on itself and becomes a free loop.
+    Returns the rest, the free loops made, and the writhe w of the removed
+    crossings: the input's value is v^-w times that of the rest.
+    """
+    rows = [list(c) for c in crossings]
+    consumer: dict[int, tuple[int, int]] = {}
+    for idx, (_, ui, oi, _uo, _oo) in enumerate(crossings):
+        consumer[ui] = (idx, 1)
+        consumer[oi] = (idx, 2)
+    removed = [False] * len(rows)
+    loops = w = 0
+    while kinks:
+        idx = kinks.pop()
+        if removed[idx]:
+            continue  # listed again by a later splice into it
+        removed[idx] = True
+        s, ui, oi, uo, oo = rows[idx]
+        w += s
+        if uo == oi and oo == ui:
+            loops += 1
+            continue
+        keep, drop = (ui, oo) if uo == oi else (oi, uo)
+        k, port = consumer[drop]
+        row = rows[k]
+        row[port] = keep
+        consumer[keep] = (k, port)
+        if row[3] == row[2] or row[4] == row[1]:
+            kinks.append(k)
+    rest = tuple(tuple(row) for row, gone in zip(rows, removed) if not gone)
+    return rest, loops, w
+
+
 def _smooth(
     crossings: tuple[RawCrossing, ...], idx: int
-) -> tuple[tuple[RawCrossing, ...], int]:
+) -> tuple[tuple[RawCrossing, ...], int, int]:
     """Oriented smoothing: splice under_in->over_out and over_in->under_out.
 
-    Returns the remaining crossings and the number of closed circles split
-    off by the splice.
+    The splice can leave kinks next to the smoothed crossing; they are
+    removed. Returns the remaining crossings, the number of closed circles
+    split off, and the writhe of the removed kinks (see ``_unkink``).
     """
     _, ui, oi, uo, oo = crossings[idx]
     relabel: dict[int, int] = {}
@@ -132,11 +187,18 @@ def _smooth(
         else:
             relabel[y] = x
     rest = []
+    kinks = []
     for k, (s, a, b, c, d) in enumerate(crossings):
         if k == idx:
             continue
-        rest.append((s, resolve(a), resolve(b), resolve(c), resolve(d)))
-    return tuple(rest), loops
+        a, b, c, d = resolve(a), resolve(b), resolve(c), resolve(d)
+        if c == b or d == a:
+            kinks.append(len(rest))
+        rest.append((s, a, b, c, d))
+    if not kinks:
+        return tuple(rest), loops, 0
+    unkinked, more, w = _unkink(rest, kinks)
+    return unkinked, loops + more, w
 
 
 _Z_VZ = LaurentVZ.monomial(0, 1)
@@ -167,8 +229,10 @@ def _eval(crossings: tuple[RawCrossing, ...], free_loops: int) -> LaurentVZ:
         else:
             sign = crossings[idx][0]
             switched = _eval(_switch(crossings, idx), 0)
-            rest, loops = _smooth(crossings, idx)
+            rest, loops, w = _smooth(crossings, idx)
             smoothed = _eval(rest, loops)
+            if w:
+                smoothed = LaurentVZ.monomial(-w, 0) * smoothed
             if sign > 0:
                 val = switched + _Z_VZ * smoothed
             else:
@@ -184,7 +248,11 @@ def homfly_framed(d: PlanarDiagram) -> LaurentVZ:
     raw, loops = d.raw()
     if not raw and loops == 0:
         raise ValueError("empty diagram has no HOMFLY value")
-    return _eval(raw, loops)
+    kinks = [i for i, c in enumerate(raw) if c[3] == c[2] or c[4] == c[1]]
+    if not kinks:
+        return _eval(raw, loops)
+    rest, more, w = _unkink(list(raw), kinks)
+    return LaurentVZ.monomial(-w, 0) * _eval(rest, loops + more)
 
 
 def homfly_unframed(d: PlanarDiagram) -> LaurentVZ:

@@ -9,9 +9,15 @@ from random import Random
 
 import knitweave
 from knitweave import cli
+from knitweave.braid import BraidWord
 from knitweave.cli import main, render_table
 from knitweave.gallery import write_showcase_json
-from knitweave.knitted import knitted_from_json, random_knitted
+from knitweave.knitted import (
+    braid_closure_knitted,
+    knitted_from_json,
+    random_knitted,
+    verify_theorem,
+)
 from knitweave.laurent import LaurentVZ, LaurentZ
 
 
@@ -209,6 +215,59 @@ def test_parse_failure_exit_codes(tmp_path, capsys):
             err = capsys.readouterr().err
             assert rc == 2 and out == "", (obj, command)
             assert err.startswith("error: ") and "Traceback" not in err, (obj, command)
+
+
+def test_strands_above_the_limit_exit_2_before_anything_is_built(monkeypatch, capsys):
+    limit = cli.MAX_STRANDS
+    assert limit >= 8  # FT_8 must stay in reach
+    evaluated = []
+
+    def small_report(k):
+        evaluated.append(k.words[0].strands)
+        return verify_theorem(braid_closure_knitted(BraidWord(2, (1,))))
+
+    monkeypatch.setattr(cli, "verify_theorem", small_report)
+    commands = (
+        ("homfly", "--braid", "1"),
+        ("verify-ft", "--braid", "1"),
+        ("hecke-expand", "--braid", "1", "--basis", "both"),
+    )
+    for command in commands:
+        rc, out = run_cli(*command, "--strands", str(limit))
+        assert rc == 0 and out, command
+    assert evaluated == [limit]
+
+    def never(*args):
+        raise AssertionError("built input above the strand limit")
+
+    for name in ("parse_braid_word", "braid_closure_knitted", "expand_word"):
+        monkeypatch.setattr(cli, name, never)
+    for command in commands:
+        capsys.readouterr()
+        rc, out = run_cli(*command, "--strands", str(limit + 1))
+        err = capsys.readouterr().err
+        assert rc == 2 and out == "", command
+        assert err.startswith("error: ") and "--strands" in err and str(limit) in err, command
+        assert "Traceback" not in err
+
+
+def test_non_ascii_digits_and_trailing_newlines_exit_2(tmp_path, capsys):
+    pd = tmp_path / "digits.pd"
+    pd.write_text("X[\u0662,1,1,\u0662;+]", encoding="utf-8")  # X[2,1,1,2;+], Arabic-Indic 2s
+    argvs = [("homfly", "--pd", str(pd)), ("homfly", "--braid", "\u0661", "--strands", "2")]
+    for i, source in enumerate(("b\u0660.out0", "b0.out0\n", "b0.out0")):
+        path = tmp_path / f"endpoint{i}.json"
+        wiring = [[source, "b0.in0"]]
+        path.write_text(json.dumps({"boxes": [{"strands": 1, "word": []}], "wiring": wiring}))
+        argvs += [("homfly", "--knitted", str(path)), ("verify-ft", "--knitted", str(path))]
+    *rejected, ascii_homfly, ascii_verify = argvs
+    for argv in rejected:
+        capsys.readouterr()
+        rc, out = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert rc == 2 and out == "", argv
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+    assert run_cli(*ascii_homfly)[0] == 0 and run_cli(*ascii_verify)[0] == 0
 
 
 def test_console_entry_point_runs():

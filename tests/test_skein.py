@@ -1,11 +1,15 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from naive_skein import naive_homfly_framed
 
+from knitweave import skein
 from knitweave.braid import BraidWord
-from knitweave.diagram import Crossing, PlanarDiagram, braid_closure
+from knitweave.diagram import Crossing, PlanarDiagram, braid_closure, planarity_check
+from knitweave.knitted import compile_diagram, eval_hecke, random_knitted, verify_theorem
 from knitweave.laurent import LaurentVZ, LaurentZ, delta_pow
 from knitweave.skein import (
     extreme_coeffs,
@@ -191,3 +195,92 @@ def test_evaluation_is_deterministic():
     a = homfly_framed(braid_closure(w))
     b = homfly_framed(braid_closure(w))
     assert a == b and a.to_json_dict() == b.to_json_dict()
+
+
+def _with_curl(d: PlanarDiagram, sign: int, where: int, under_first: bool) -> PlanarDiagram:
+    """d with one R1 curl of the given sign on one of its arcs.
+
+    The curl goes on the arc into port 1 or 2 (``where`` picks which) of a
+    crossing; ``under_first`` picks the curl's orientation: the strand passes
+    under and comes back over (under_out == over_in) or the reverse (over_out
+    == under_in). Without crossings, a free loop becomes a one-crossing curl.
+    """
+    raw = [list(c.as_tuple()) for c in d.crossings]
+    top = max((a for c in raw for a in c[1:]), default=0)
+    m, e = top + 1, top + 2
+    if not raw:
+        return PlanarDiagram([Crossing(sign, m, e, e, m)], d.free_loops - 1)
+    row = raw[(where // 2) % len(raw)]
+    a, row[1 + where % 2] = row[1 + where % 2], e
+    raw.append([sign, a, m, m, e] if under_first else [sign, m, a, e, m])
+    return PlanarDiagram([Crossing(*c) for c in raw], d.free_loops)
+
+
+_CURLS = st.lists(
+    st.tuples(st.sampled_from((1, -1)), st.integers(0, 30), st.booleans()), max_size=3
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    closure=st.booleans(),
+    seed=st.integers(0, 10**6),
+    stabilisations=st.lists(st.sampled_from((1, -1)), max_size=2),
+    curls=_CURLS,
+)
+def test_kinks_and_stabilisations_change_only_the_framing(closure, seed, stabilisations, curls):
+    rng = Random(seed)
+    if closure:
+        n = rng.randint(1, 3)
+        word = _random_word(rng, n, 5)
+        base = braid_closure(word)
+        for sign in stabilisations:  # Markov: w on n strands -> w sigma_n^(+-1)
+            word = BraidWord(word.strands + 1, word.letters + (sign * word.strands,))
+        d = braid_closure(word)
+        framing = sum(stabilisations)
+    else:
+        k, _ = random_knitted(rng, 2, 3, 3)
+        base = d = compile_diagram(k)
+        framing = 0
+    for sign, where, under_first in curls:
+        d = _with_curl(d, sign, where, under_first)
+        framing += sign
+    assert planarity_check(d)
+    h = homfly_framed(d)
+    assert h == LaurentVZ.monomial(-framing, 0) * homfly_framed(base)
+    assert homfly_unframed(d) == homfly_unframed(base)
+    if len(d.crossings) <= 9:
+        assert naive_homfly_framed(d, seed=seed) == h
+
+
+def test_cascading_kinks_reduce_to_a_free_loop_at_the_root():
+    # sigma_1 ... sigma_4 closes to an unknot in four kinks: removing the
+    # last exposes the one before it
+    skein.clear_memo()
+    d = braid_closure(BraidWord(5, (1, 2, 3, 4)))
+    assert homfly_framed(d) == LaurentVZ.monomial(-4, 0)
+    assert not skein._MEMO
+    d = braid_closure(BraidWord(4, (-1, 2, -3)))
+    assert homfly_framed(d) == LaurentVZ.monomial(1, 0)
+    assert not skein._MEMO
+
+
+def test_memo_holds_no_kinks():
+    skein.clear_memo()
+    rng = Random(2024)
+    kinked_roots = 0
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        d = braid_closure(_random_word(rng, n, 8))
+        for _ in range(rng.randint(0, 2)):
+            d = _with_curl(d, rng.choice((1, -1)), rng.randrange(30), rng.random() < 0.5)
+        kinked_roots += any(c[3] == c[2] or c[4] == c[1] for c in d.raw()[0])
+        homfly_framed(d)
+    for _ in range(10):
+        eval_hecke(random_knitted(rng, 2, 3, 3)[0])
+    verify_theorem(random_knitted(Random(7), 2, 3, 3)[0])
+    assert kinked_roots >= 10 and len(skein._MEMO) > 100
+    for pieces, _loops in skein._MEMO:
+        for piece in pieces:
+            for t in piece:
+                assert t[3] != t[2] and t[4] != t[1], (pieces, t)
