@@ -32,7 +32,7 @@ from knitweave.knitted import (
     verify_theorem,
 )
 from knitweave.laurent import LaurentVZ, LaurentZ, delta_pow
-from knitweave.skein import homfly, homfly_framed, homfly_unframed
+from knitweave.skein import homfly_framed, homfly_unframed
 
 __all__ = [
     "BraidWord",
@@ -54,7 +54,6 @@ __all__ = [
     "ft",
     "full_twist_word",
     "half_twist_word",
-    "homfly",
     "homfly_framed",
     "homfly_unframed",
     "top_coeff",

@@ -8,7 +8,8 @@ grid).
 
 Exit codes: 0 on success, 1 on verification failure, 2 on input that cannot
 be parsed or evaluated (including input deep enough to exhaust Python's
-recursion limit, and ``--strands`` above ``MAX_STRANDS``).
+recursion limit, ``--strands`` above ``MAX_STRANDS``, and a table of more
+than ``MAX_TABLE_CELLS`` cells).
 """
 
 from __future__ import annotations
@@ -36,11 +37,10 @@ from knitweave.knitted import (
     knitted_from_json,
     knitted_to_json,
     random_knitted,
-    seifert_count,
     verify_theorem,
 )
 from knitweave.laurent import LaurentVZ
-from knitweave.skein import homfly, homfly_framed, mfw_check, mp_vanishing
+from knitweave.skein import homfly_framed, mfw_check, mp_vanishing
 
 __all__ = ["main", "render_table"]
 
@@ -54,12 +54,18 @@ EXIT_BAD_INPUT = 2
 # strands took 12 s), so the flag is checked before anything is built.
 MAX_STRANDS = 32
 
+# The most cells (rows x columns) render_table lays out. The grid spans every
+# exponent between the extremes, so a two-term polynomial with v^0 and
+# v^200000 already prints 1.9 MB; the size is checked before any cell exists.
+MAX_TABLE_CELLS = 10**6
+
 
 def render_table(p: LaurentVZ) -> str:
     """Coefficient grid: columns are v-exponents ascending, rows z ascending.
 
     Steps of 2 between adjacent cells (falling back to 1 if exponents mix
     parity), empty cells for zero coefficients, exact signed decimal entries.
+    Raises ValueError if the grid would have more than MAX_TABLE_CELLS cells.
     """
     if not p:
         return "0"
@@ -67,6 +73,12 @@ def render_table(p: LaurentVZ) -> str:
     zs_present = sorted(p.z_exponents())
     v_step = 2 if len({v % 2 for v in vs_present}) == 1 else 1
     z_step = 2 if len({z % 2 for z in zs_present}) == 1 else 1
+    n_cols = (vs_present[-1] - vs_present[0]) // v_step + 1
+    n_rows = (zs_present[-1] - zs_present[0]) // z_step + 1
+    if n_rows * n_cols > MAX_TABLE_CELLS:
+        raise ValueError(
+            f"table of {n_rows} x {n_cols} cells exceeds the limit of {MAX_TABLE_CELLS} cells"
+        )
     vs = list(range(vs_present[0], vs_present[-1] + 1, v_step))
     zs = list(range(zs_present[0], zs_present[-1] + 1, z_step))
     col_labels = [f"v^{v}" if v else "v^0" for v in vs]
@@ -116,15 +128,10 @@ def _resolve_input(args: argparse.Namespace) -> tuple[PlanarDiagram, KnittedDiag
 
 def cmd_homfly(args: argparse.Namespace, out) -> int:
     d, k = _resolve_input(args)
-    if k is not None:
-        framed = eval_hecke(k)
-        s = seifert_count(k.template)
-        w = writhe(d)
-        unframed = LaurentVZ.monomial(w, 0) * framed
-    else:
-        result = homfly(d)
-        framed, unframed = result.framed, result.unframed
-        s, w = result.seifert_count, result.writhe
+    framed = eval_hecke(k) if k is not None else homfly_framed(d)
+    s, _ = seifert_circles(d)
+    w = writhe(d)
+    unframed = LaurentVZ.monomial(w, 0) * framed
     mfw_ok = mfw_check(framed, s)
     plus_zero, minus_zero = mp_vanishing(d)
     if args.output_format == "json":
@@ -139,10 +146,12 @@ def cmd_homfly(args: argparse.Namespace, out) -> int:
         }
         print(json.dumps(payload, indent=2), file=out)
     elif args.output_format == "table":
+        # both are rendered first, so a refused table prints nothing
+        framed_table, unframed_table = render_table(framed), render_table(unframed)
         print("framed H:", file=out)
-        print(render_table(framed), file=out)
+        print(framed_table, file=out)
         print("unframed P:", file=out)
-        print(render_table(unframed), file=out)
+        print(unframed_table, file=out)
         _print_stats(out, s, w, mfw_ok, plus_zero, minus_zero)
     else:
         print(f"framed H   = {framed}", file=out)

@@ -515,13 +515,14 @@ def knitted_from_json(obj: dict) -> KnittedDiagram:
     strands: list[int] = []
     words: list[BraidWord] = []
     for i, box in enumerate(obj["boxes"]):
-        try:
-            n = int(box["strands"])
-            letters = tuple(int(g) for g in box.get("word", []))
-        except (TypeError, KeyError, ValueError, OverflowError) as exc:
-            raise ValueError(f"box {i}: expected strands and a word list") from exc
+        n = box.get("strands") if isinstance(box, dict) else None
+        word = box.get("word", []) if isinstance(box, dict) else None
+        # JSON integers only: int() would also take booleans, truncate
+        # floats and read strings of other scripts' digits
+        if not (type(n) is int and isinstance(word, list) and all(type(g) is int for g in word)):
+            raise ValueError(f"box {i}: needs an integer 'strands' and a 'word' list of integers")
         strands.append(n)
-        words.append(BraidWord(n, letters))
+        words.append(BraidWord(n, tuple(word)))
     wiring = []
     for pair in obj["wiring"]:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:

@@ -11,10 +11,13 @@ v-exponent, then ascending z-exponent.
 
 from __future__ import annotations
 
+import re
 from math import comb
 from typing import Mapping
 
 __all__ = ["LaurentZ", "LaurentVZ", "delta_pow"]
+
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def _fmt_power(var: str, exp: int) -> str:
@@ -67,16 +70,6 @@ class LaurentZ:
 
     def coeff(self, exponent: int) -> int:
         return self._terms.get(exponent, 0)
-
-    def min_deg(self) -> int:
-        if not self._terms:
-            raise ValueError("degree of the zero polynomial is undefined")
-        return min(self._terms)
-
-    def max_deg(self) -> int:
-        if not self._terms:
-            raise ValueError("degree of the zero polynomial is undefined")
-        return max(self._terms)
 
     def shifted(self, k: int) -> LaurentZ:
         """Multiply by ``z^k``."""
@@ -219,9 +212,11 @@ class LaurentVZ:
                 v, z, c = t["v"], t["z"], t["c"]
             except (TypeError, KeyError) as exc:
                 raise ValueError(f"term {i}: expected keys 'v', 'z', 'c'") from exc
-            if not isinstance(v, int) or not isinstance(z, int):
+            # JSON integers only (bool is an int subclass); int() would also
+            # read other scripts' digits, underscores and padding in strings
+            if type(v) is not int or type(z) is not int:
                 raise ValueError(f"term {i}: exponents must be integers")
-            if not isinstance(c, (str, int)):
+            if not (type(c) is int or (type(c) is str and _DECIMAL.fullmatch(c))):
                 raise ValueError(f"term {i}: coefficient must be a decimal string")
             key = (v, z)
             if key in out:

@@ -22,16 +22,17 @@ free loops is split again, keeping its arc labels; split diagrams factor as
 the product of their pieces times delta^(pieces-1).
 
 The memo holds kink-free diagrams only. A kink (an R1 curl) is a crossing
-with under_out == over_in or over_out == under_in; splicing the strand
-through removes it at a factor of v^-sign, and a crossing with both
-equalities closes on itself and becomes a free loop. ``homfly_framed``
-removes the root's kinks before the first lookup. Below the root only a
-smoothing can make a kink: switching a crossing maps the two kink
-conditions onto each other, splitting into pieces keeps every arc label,
-and only the splice of a smoothing joins two arcs, which can close a strand
-back onto a crossing next to the smoothed one. So ``_smooth`` checks the
-crossings it rebuilds anyway and removes any kinks, and those their removal
-exposes, before the smoothed child's lookup.
+with under_out == over_in or over_out == under_in. One routine, ``_remove``,
+takes crossings out by splicing: a smoothing removes a crossing by its two
+oriented splices, and a kink is a smoothing whose curl is not counted as a
+circle, at a factor of v^-sign (a crossing with both equalities leaves one
+free loop). ``homfly_framed`` removes the root's kinks before the first
+lookup. Below the root only a smoothing can make a kink: switching a
+crossing maps the two kink conditions onto each other, splitting into
+pieces keeps every arc label, and only a splice joins two arcs, which can
+close a strand back onto a crossing next to the smoothed one. So the
+routine checks the crossings its splices rename, and removes any kinks, and
+those their removal exposes, before the smoothed child's lookup.
 
 The memo table is module-level state shared by every evaluation in the
 process; evaluations run one at a time and are deterministic.
@@ -39,23 +40,18 @@ process; evaluations run one at a time and are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from knitweave.diagram import (
     PlanarDiagram,
     RawCrossing,
     _split_components,
     canonical_raw,
     planarity_check,
-    seifert_circles,
     seifert_graph,
     writhe,
 )
 from knitweave.laurent import LaurentVZ, LaurentZ, delta_pow
 
 __all__ = [
-    "HomflyResult",
-    "homfly",
     "homfly_framed",
     "homfly_unframed",
     "extreme_coeffs",
@@ -69,16 +65,6 @@ _MEMO: dict[tuple, LaurentVZ] = {}
 
 def clear_memo() -> None:
     _MEMO.clear()
-
-
-@dataclass(frozen=True)
-class HomflyResult:
-    """Framed and unframed polynomials with the diagram stats that bound them."""
-
-    framed: LaurentVZ
-    unframed: LaurentVZ
-    seifert_count: int
-    writhe: int
 
 
 def _first_violation(crossings: tuple[RawCrossing, ...]) -> tuple[int | None, int]:
@@ -120,88 +106,54 @@ def _switch(crossings: tuple[RawCrossing, ...], idx: int) -> tuple[RawCrossing, 
     return crossings[:idx] + (switched,) + crossings[idx + 1 :]
 
 
-def _unkink(
-    crossings: list[RawCrossing], kinks: list[int]
+def _remove(
+    crossings: tuple[RawCrossing, ...], idx: int | None
 ) -> tuple[tuple[RawCrossing, ...], int, int]:
-    """Remove every kink, and every kink a removal exposes.
+    """Smooth crossing ``idx`` out (none at the root), then remove every kink.
 
-    ``kinks`` indexes the kinks of ``crossings``. A kink with under_out ==
-    over_in is spliced out by renaming its over_out, where the next crossing
-    consumes it, to its under_in; one with over_out == under_in likewise
-    renames its under_out to its over_in. The renamed crossing is a kink now
-    iff it produces the arc it was given, so only it is checked again. A
-    crossing with both equalities closes on itself and becomes a free loop.
-    Returns the rest, the free loops made, and the writhe w of the removed
-    crossings: the input's value is v^-w times that of the rest.
+    A crossing is removed by its two oriented splices, under_in->over_out
+    and over_in->under_out. Each splice keeps the in-arc's name, gives it to
+    the port that consumes the dropped out-arc, and closes a circle if that
+    port is on the removed crossing itself. A kink is removed the same way,
+    but one of its circles is its own curl, which is not counted, and the
+    value gains v^-sign. A crossing becomes a kink only when a splice renames
+    it, so only renamed crossings are checked again, and removals cascade;
+    at the root every crossing is checked. Returns the rest, the circles
+    closed, and the writhe w of the removed kinks: the input's value is v^-w
+    times that of the rest with the circles as free loops.
     """
     rows = [list(c) for c in crossings]
     consumer: dict[int, tuple[int, int]] = {}
-    for idx, (_, ui, oi, _uo, _oo) in enumerate(crossings):
-        consumer[ui] = (idx, 1)
-        consumer[oi] = (idx, 2)
+    for k, (_, ui, oi, _uo, _oo) in enumerate(crossings):
+        consumer[ui] = (k, 1)
+        consumer[oi] = (k, 2)
     removed = [False] * len(rows)
-    loops = w = 0
-    while kinks:
-        idx = kinks.pop()
-        if removed[idx]:
-            continue  # listed again by a later splice into it
-        removed[idx] = True
-        s, ui, oi, uo, oo = rows[idx]
-        w += s
-        if uo == oi and oo == ui:
-            loops += 1
-            continue
-        keep, drop = (ui, oo) if uo == oi else (oi, uo)
-        k, port = consumer[drop]
-        row = rows[k]
-        row[port] = keep
-        consumer[keep] = (k, port)
-        if row[3] == row[2] or row[4] == row[1]:
-            kinks.append(k)
+    check = list(range(len(rows))) if idx is None else []
+
+    def splice(k: int) -> int:
+        removed[k] = True
+        _, ui, oi, uo, oo = rows[k]
+        circles = 0
+        for keep, drop in ((ui, oo), (oi, uo)):
+            j, port = consumer[drop]
+            if j == k:
+                circles += 1
+            else:
+                rows[j][port] = keep
+                consumer[keep] = (j, port)
+                check.append(j)
+        return circles
+
+    loops = 0 if idx is None else splice(idx)
+    w = 0
+    while check:
+        k = check.pop()
+        s, ui, oi, uo, oo = rows[k]
+        if not removed[k] and (uo == oi or oo == ui):
+            loops += splice(k) - 1
+            w += s
     rest = tuple(tuple(row) for row, gone in zip(rows, removed) if not gone)
     return rest, loops, w
-
-
-def _smooth(
-    crossings: tuple[RawCrossing, ...], idx: int
-) -> tuple[tuple[RawCrossing, ...], int, int]:
-    """Oriented smoothing: splice under_in->over_out and over_in->under_out.
-
-    The splice can leave kinks next to the smoothed crossing; they are
-    removed. Returns the remaining crossings, the number of closed circles
-    split off, and the writhe of the removed kinks (see ``_unkink``).
-    """
-    _, ui, oi, uo, oo = crossings[idx]
-    relabel: dict[int, int] = {}
-
-    def resolve(a: int) -> int:
-        while a in relabel:
-            a = relabel[a]
-        return a
-
-    loops = 0
-    for x, y in ((ui, oo), (oi, uo)):
-        x, y = resolve(x), resolve(y)
-        if x == y:
-            loops += 1
-        else:
-            relabel[y] = x
-    rest = []
-    kinks = []
-    for k, (s, a, b, c, d) in enumerate(crossings):
-        if k == idx:
-            continue
-        a, b, c, d = resolve(a), resolve(b), resolve(c), resolve(d)
-        if c == b or d == a:
-            kinks.append(len(rest))
-        rest.append((s, a, b, c, d))
-    if not kinks:
-        return tuple(rest), loops, 0
-    unkinked, more, w = _unkink(rest, kinks)
-    return unkinked, loops + more, w
-
-
-_Z_VZ = LaurentVZ.monomial(0, 1)
 
 
 def _eval(crossings: tuple[RawCrossing, ...], free_loops: int) -> LaurentVZ:
@@ -227,16 +179,10 @@ def _eval(crossings: tuple[RawCrossing, ...], free_loops: int) -> LaurentVZ:
             w = sum(c[0] for c in crossings)
             val = LaurentVZ.monomial(-w, 0) * delta_pow(walked - 1)
         else:
-            sign = crossings[idx][0]
             switched = _eval(_switch(crossings, idx), 0)
-            rest, loops, w = _smooth(crossings, idx)
+            rest, loops, w = _remove(crossings, idx)
             smoothed = _eval(rest, loops)
-            if w:
-                smoothed = LaurentVZ.monomial(-w, 0) * smoothed
-            if sign > 0:
-                val = switched + _Z_VZ * smoothed
-            else:
-                val = switched - _Z_VZ * smoothed
+            val = switched + LaurentVZ.monomial(-w, 1, crossings[idx][0]) * smoothed
     _MEMO[key] = val
     return val
 
@@ -248,28 +194,13 @@ def homfly_framed(d: PlanarDiagram) -> LaurentVZ:
     raw, loops = d.raw()
     if not raw and loops == 0:
         raise ValueError("empty diagram has no HOMFLY value")
-    kinks = [i for i, c in enumerate(raw) if c[3] == c[2] or c[4] == c[1]]
-    if not kinks:
-        return _eval(raw, loops)
-    rest, more, w = _unkink(list(raw), kinks)
+    rest, more, w = _remove(raw, None)
     return LaurentVZ.monomial(-w, 0) * _eval(rest, loops + more)
 
 
 def homfly_unframed(d: PlanarDiagram) -> LaurentVZ:
     """P(d) = v^writhe * H(d), invariant under all Reidemeister moves."""
     return LaurentVZ.monomial(writhe(d), 0) * homfly_framed(d)
-
-
-def homfly(d: PlanarDiagram) -> HomflyResult:
-    framed = homfly_framed(d)
-    s, _ = seifert_circles(d)
-    w = writhe(d)
-    return HomflyResult(
-        framed=framed,
-        unframed=LaurentVZ.monomial(w, 0) * framed,
-        seifert_count=s,
-        writhe=w,
-    )
 
 
 def extreme_coeffs(h: LaurentVZ, s: int) -> tuple[LaurentZ, LaurentZ]:

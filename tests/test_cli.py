@@ -71,6 +71,31 @@ def test_table_of_unknot():
     assert out.rstrip("\n").splitlines() == ["     v^0", "z^0    1"]
 
 
+def test_table_cell_limit(monkeypatch, capsys):
+    # 3 rows (z^0, z^2, z^4) by 4 columns (v^0 .. v^6)
+    grid = {"terms": [{"v": 0, "z": 0, "c": "1"}, {"v": 6, "z": 4, "c": "-2"}]}
+    monkeypatch.setattr(cli, "MAX_TABLE_CELLS", 12)
+    rc, out = run_cli("table", stdin=json.dumps(grid))
+    assert rc == 0 and len(out.splitlines()) == 4 and "v^6" in out
+    monkeypatch.setattr(cli, "MAX_TABLE_CELLS", 11)
+    capsys.readouterr()
+    rc, out = run_cli("table", stdin=json.dumps(grid))
+    err = capsys.readouterr().err
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "limit of 11 cells" in err and "Traceback" not in err
+    # homfly refuses before printing either table
+    monkeypatch.setattr(cli, "MAX_TABLE_CELLS", 1)
+    rc, out = run_cli("homfly", "--braid", "1,1,1", "--strands", "2", "--format", "table")
+    err = capsys.readouterr().err
+    assert rc == 2 and out == "" and err.startswith("error: ") and "limit of 1 cells" in err
+    # the default limit: a wide span is refused without building the grid
+    monkeypatch.undo()
+    wide = {"terms": [{"v": 0, "z": 0, "c": "1"}, {"v": 2 * cli.MAX_TABLE_CELLS, "z": 0, "c": "1"}]}
+    rc, out = run_cli("table", stdin=json.dumps(wide))
+    err = capsys.readouterr().err
+    assert rc == 2 and out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
 def test_render_table_zero():
     assert render_table(LaurentVZ.zero()) == "0"
 
@@ -181,7 +206,7 @@ def test_recursion_limit_exits_2_without_traceback(tmp_path, monkeypatch, capsys
     def bottomless(d):
         return bottomless(d)
 
-    monkeypatch.setattr(cli, "homfly", bottomless)
+    monkeypatch.setattr(cli, "homfly_framed", bottomless)
     pd = tmp_path / "trefoil.pd"
     pd.write_text("X[2,1,3,4;+] X[4,3,5,6;+] X[6,5,1,2;+]\n")
     rc, out = run_cli("homfly", "--pd", str(pd))
@@ -206,6 +231,17 @@ def test_parse_failure_exit_codes(tmp_path, capsys):
         {"boxes": [{"strands": 1, "word": []}], "wiring": [[5, "b0.in0"]]},
         {"boxes": [{"strands": 2, "word": [float("inf")]}], "wiring": []},
     )
+    # loadable but for the box fields, which must be JSON integers
+    one = [["b0.out0", "b0.in0"]]
+    two = [["b0.out0", "b0.in0"], ["b0.out1", "b0.in1"]]
+    malformed += (
+        {"boxes": [{"strands": "\u0662", "word": ["\u0661"]}], "wiring": two},
+        {"boxes": [{"strands": 2.7, "word": [1.9]}], "wiring": two},
+        {"boxes": [{"strands": 2.0, "word": []}], "wiring": two},
+        {"boxes": [{"strands": True, "word": []}], "wiring": one},
+        {"boxes": [{"strands": 2, "word": [True]}], "wiring": two},
+        {"boxes": [{"strands": 2, "word": "1"}], "wiring": two},
+    )
     for obj in malformed:
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(obj))
@@ -215,6 +251,17 @@ def test_parse_failure_exit_codes(tmp_path, capsys):
             err = capsys.readouterr().err
             assert rc == 2 and out == "", (obj, command)
             assert err.startswith("error: ") and "Traceback" not in err, (obj, command)
+    # polynomial JSON for `table` takes the same integer rule
+    for term in (
+        {"v": True, "z": 0, "c": "1"},
+        {"v": 0, "z": 0, "c": "\u0661"},
+        {"v": 0, "z": 0, "c": " 1_0 "},
+    ):
+        capsys.readouterr()
+        rc, out = run_cli("table", stdin=json.dumps({"terms": [term]}))
+        err = capsys.readouterr().err
+        assert rc == 2 and out == "", term
+        assert err.startswith("error: ") and "Traceback" not in err, term
 
 
 def test_strands_above_the_limit_exit_2_before_anything_is_built(monkeypatch, capsys):

@@ -129,6 +129,23 @@ def test_json_rejects_malformed_terms():
         LaurentVZ.from_json_dict({"nope": []})
     with pytest.raises(ValueError):
         LaurentVZ.from_json_dict({"terms": [{"v": 0, "z": 0, "c": "1"}, {"v": 0, "z": 0, "c": "2"}]})
+    # JSON integers only, and coefficient strings in ASCII decimal
+    for term in (
+        {"v": True, "z": 0, "c": "1"},
+        {"v": 0, "z": False, "c": "1"},
+        {"v": 0, "z": 0, "c": True},
+        {"v": 0, "z": 0, "c": 1.0},
+        {"v": 0, "z": 0, "c": "\u0661"},
+        {"v": 0, "z": 0, "c": " 1_0 "},
+        {"v": 0, "z": 0, "c": "10 "},
+        {"v": 0, "z": 0, "c": "+1"},
+        {"v": 0, "z": 0, "c": ""},
+    ):
+        with pytest.raises(ValueError):
+            LaurentVZ.from_json_dict({"terms": [term]})
+    assert LaurentVZ.from_json_dict({"terms": [{"v": -1, "z": 2, "c": "-10"}]}) == (
+        LaurentVZ.monomial(-1, 2, -10)
+    )
 
 
 def test_v_degree_undefined_only_on_zero():

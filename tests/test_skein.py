@@ -8,12 +8,18 @@ from naive_skein import naive_homfly_framed
 
 from knitweave import skein
 from knitweave.braid import BraidWord
-from knitweave.diagram import Crossing, PlanarDiagram, braid_closure, planarity_check
+from knitweave.diagram import (
+    Crossing,
+    PlanarDiagram,
+    braid_closure,
+    planarity_check,
+    seifert_circles,
+    writhe,
+)
 from knitweave.knitted import compile_diagram, eval_hecke, random_knitted, verify_theorem
 from knitweave.laurent import LaurentVZ, LaurentZ, delta_pow
 from knitweave.skein import (
     extreme_coeffs,
-    homfly,
     homfly_framed,
     homfly_unframed,
     mfw_check,
@@ -73,9 +79,10 @@ def test_unlinks():
 
 
 def test_homfly_result_invariants():
-    r = homfly(braid_closure(BraidWord(2, (1, 1, 1))))
-    assert r.unframed == LaurentVZ.monomial(r.writhe, 0) * r.framed
-    assert mfw_check(r.framed, r.seifert_count)
+    d = braid_closure(BraidWord(2, (1, 1, 1)))
+    framed = homfly_framed(d)
+    assert homfly_unframed(d) == LaurentVZ.monomial(writhe(d), 0) * framed
+    assert mfw_check(framed, seifert_circles(d)[0])
 
 
 def test_extreme_coeffs_examples():
