@@ -8,8 +8,10 @@ grid).
 
 Exit codes: 0 on success, 1 on verification failure, 2 on input that cannot
 be parsed or evaluated (including input deep enough to exhaust Python's
-recursion limit, ``--strands`` above ``MAX_STRANDS``, and a table of more
-than ``MAX_TABLE_CELLS`` cells).
+recursion limit, ``--strands`` or ``--max-strands`` above ``MAX_STRANDS``,
+template sampling that finds no valid template, and a table of more than
+``MAX_TABLE_CELLS`` cells). Argparse exits 2 as well when the input flags
+name no input or more than one.
 """
 
 from __future__ import annotations
@@ -48,10 +50,11 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
 
-# The largest --strands accepted: four times the 8 strands of FT_8, the
-# largest full twist the engine aims at. Above it, building the closure and
-# its Hecke basis grows with the strand count alone (--braid 1 on 5000
-# strands took 12 s), so the flag is checked before anything is built.
+# The largest --strands (and random-test --max-strands) accepted: four times
+# the 8 strands of FT_8, the largest full twist the engine aims at. Above it,
+# building the closure and its Hecke basis grows with the strand count alone
+# (--braid 1 on 5000 strands took 12 s, random-test --max-strands 200 ran for
+# minutes), so the flag is checked before anything is built.
 MAX_STRANDS = 32
 
 # The most cells (rows x columns) render_table lays out. The grid spans every
@@ -120,10 +123,8 @@ def _resolve_input(args: argparse.Namespace) -> tuple[PlanarDiagram, KnittedDiag
     if args.knitted_path is not None:
         k = _load_knitted(args.knitted_path)
         return compile_diagram(k), k
-    if args.pd_path is not None:
-        text = Path(args.pd_path).read_text()
-        return parse_pd(text), None
-    raise ValueError("no input given; use --braid, --pd, or --knitted")
+    text = Path(args.pd_path).read_text()
+    return parse_pd(text), None
 
 
 def cmd_homfly(args: argparse.Namespace, out) -> int:
@@ -170,8 +171,6 @@ def _print_stats(out, s: int, w: int, mfw_ok: bool, plus_zero: bool, minus_zero:
 
 def cmd_verify_ft(args: argparse.Namespace, out) -> int:
     _, k = _resolve_input(args)
-    if k is None:
-        raise ValueError("verify-ft needs a knitted diagram or an inline braid")
     report = verify_theorem(k)
     print(f"seifert circles: {report.seifert_count}", file=out)
     print(f"sign: {report.sign:+d}", file=out)
@@ -259,8 +258,6 @@ def cmd_random_test(args: argparse.Namespace, out) -> int:
 
 
 def cmd_hecke_expand(args: argparse.Namespace, out) -> int:
-    if args.braid is None or args.strands is None:
-        raise ValueError("hecke-expand needs --braid and --strands")
     word = parse_braid_word(args.braid, args.strands)
     x = expand_word(word)
     if args.basis in ("ppb", "both"):
@@ -291,13 +288,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_input_flags(p: argparse.ArgumentParser, with_pd: bool = True) -> None:
-        p.add_argument("--braid", help="inline braid word, e.g. '1,-2,1'")
-        p.add_argument("--strands", type=int, help="strand count for --braid")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--braid", help="inline braid word, e.g. '1,-2,1'")
         if with_pd:
-            p.add_argument("--pd", dest="pd_path", help="PD code file")
-        else:
-            p.set_defaults(pd_path=None)  # _resolve_input reads it
-        p.add_argument("--knitted", dest="knitted_path", help="knitted diagram JSON file")
+            source.add_argument("--pd", dest="pd_path", help="PD code file")
+        source.add_argument("--knitted", dest="knitted_path", help="knitted diagram JSON file")
+        p.add_argument("--strands", type=int, help="strand count for --braid")
 
     p_h = sub.add_parser("homfly", help="compute framed and unframed HOMFLY")
     add_input_flags(p_h)
@@ -337,11 +333,14 @@ def main(argv: list[str] | None = None, out=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        strands = getattr(args, "strands", None)
-        if strands is not None and strands > MAX_STRANDS:
-            raise ValueError(f"--strands must be at most {MAX_STRANDS}, got {strands}")
+        for flag, value in (
+            ("--strands", getattr(args, "strands", None)),
+            ("--max-strands", getattr(args, "max_strands", None)),
+        ):
+            if value is not None and value > MAX_STRANDS:
+                raise ValueError(f"{flag} must be at most {MAX_STRANDS}, got {value}")
         return _COMMANDS[args.subcommand](args, out)
-    except (ValueError, OSError) as exc:  # parse errors and TemplateError are ValueErrors
+    except (ValueError, OSError) as exc:  # parse, template and sampling errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except RecursionError:

@@ -19,6 +19,11 @@ Multiplication follows the package-wide composition convention (see
 
 and sigma_i^-1 = sigma_i - z applied termwise.
 
+One routine changes basis both ways. The map phi: sigma_i -> sigma_i^-1,
+z -> -z keeps the relation sigma_i - sigma_i^-1 = z, is its own inverse and
+sends T_w to U_w (Jones, Ann. Math. 1987). So the NPB coefficients of x are
+the PPB coefficients of phi(x) with z negated, and phi(x) is a sum of U_w.
+
 The arithmetic runs on plain maps {w: {z-exponent: int}} with no zero terms;
 ``mul_generator``, ``expand_word``, ``multiply`` and ``convert`` wrap their
 result in one ``HeckeElement`` at the end.
@@ -207,74 +212,57 @@ def multiply(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     return _element(x.strands, PPB, out)
 
 
-# U_w in the PPB basis, by w; read-only once stored, because every U_w built
-# later starts from one of them
-_NPB_IN_PPB_CACHE: dict[Perm, _Map] = {}
+def _npb_sum(m: _Map) -> _Map:
+    """Sum c_w . U_w over a map {w: c_w}, expanded in the PPB basis.
 
-
-def _npb_in_ppb(w: Perm) -> _Map:
-    """U_w expanded in the PPB basis; the caller must not change the map.
-
-    Walks down w -> s_i o w, taking the smallest i with i+1 before i in w,
-    until a cached or identity permutation, then builds each U back up with
-    one sigma_i^-1 step.
+    Each U_w comes from a shorter U by one sigma_i^-1 step: walk down
+    w -> s_i o w, taking the smallest i with i+1 before i in w, until a U
+    already built in this call or the identity, then step back up. The built
+    U maps live only for this call.
     """
-    w = tuple(w)
-    chain: list[tuple[Perm, int]] = []
-    m = _NPB_IN_PPB_CACHE.get(w)
-    while m is None:
-        i = next((i for i in range(1, len(w)) if w.index(i + 1) < w.index(i)), 0)
-        if not i:  # the identity
-            m = _NPB_IN_PPB_CACHE[w] = {w: {0: 1}}
-            break
-        chain.append((w, i))
-        s = list(w)
-        s[w.index(i)], s[w.index(i + 1)] = i + 1, i
-        w = tuple(s)
-        m = _NPB_IN_PPB_CACHE.get(w)
-    for w, i in reversed(chain):
-        m = _NPB_IN_PPB_CACHE[w] = _step(m, i, False)
-    return m
+    built: dict[Perm, _Map] = {}
+    total: _Map = {}
+    for w, c in m.items():
+        chain: list[tuple[Perm, int]] = []
+        p = w
+        u = built.get(p)
+        while u is None:
+            i = next((i for i in range(1, len(p)) if p.index(i + 1) < p.index(i)), 0)
+            if not i:  # the identity
+                u = built[p] = {p: {0: 1}}
+                break
+            chain.append((p, i))
+            s = list(p)
+            s[p.index(i)], s[p.index(i + 1)] = i + 1, i
+            p = tuple(s)
+            u = built.get(p)
+        for p, i in reversed(chain):
+            u = built[p] = _step(u, i, False)
+        for v, d in u.items():
+            _add_product(total.setdefault(v, {}), c, d)
+    return total
+
+
+def _negate_z(m: _Map) -> _Map:
+    """The map with z replaced by -z: odd exponents change sign."""
+    return {w: {e: -k if e % 2 else k for e, k in c.items()} for w, c in m.items()}
 
 
 def convert(x: HeckeElement, target: str) -> HeckeElement:
     """Re-express an element in the target basis.
 
-    U_w = T_w + (strictly shorter T-terms), so PPB -> NPB is a triangular
-    substitution peeled by Coxeter length, longest first. Subtracting c U_w
-    for one w of length L changes only shorter terms, so every element of
-    length L can be peeled in any order before moving to L - 1.
+    NPB -> PPB is the sum of c_w . U_w. For x = sum c_w(z) T_w,
+    phi(x) = sum c_w(-z) U_w = sum d_v(z) T_v by that same sum, and since phi
+    is its own inverse, x = sum d_v(-z) U_v: PPB -> NPB negates z before the
+    sum and again after it.
     """
     if target not in (PPB, NPB):
         raise ValueError(f"unknown basis tag {target!r}")
     if x.basis == target:
         return x
     if target == PPB:
-        total: _Map = {}
-        for w, c in x.coeffs.items():
-            c = c.terms
-            for u, d in _npb_in_ppb(w).items():
-                _add_product(total.setdefault(u, {}), c, d)
-        return _element(x.strands, PPB, total)
-    lengths = {w: coxeter_length(w) for w in x.coeffs}
-    work: dict[int, _Map] = {}
-    for w, c in x.coeffs.items():
-        work.setdefault(lengths[w], {})[w] = c.terms
-    out: _Map = {}
-    for length in range(max(work, default=-1), -1, -1):
-        for w, c in work.pop(length, {}).items():
-            if not c:
-                continue
-            out[w] = c
-            minus_c = {e: -k for e, k in c.items()}
-            for u, d in _npb_in_ppb(w).items():
-                if u == w:  # unit coefficient: this term is the one peeled
-                    continue
-                lu = lengths.get(u)
-                if lu is None:
-                    lu = lengths[u] = coxeter_length(u)
-                _add_product(work.setdefault(lu, {}).setdefault(u, {}), minus_c, d)
-    return _element(x.strands, NPB, out)
+        return _element(x.strands, PPB, _npb_sum(_map_of(x)))
+    return _element(x.strands, NPB, _negate_z(_npb_sum(_negate_z(_map_of(x)))))
 
 
 def top_coeff(x: HeckeElement) -> LaurentZ:

@@ -534,14 +534,19 @@ def knitted_from_json(obj: dict) -> KnittedDiagram:
     return KnittedDiagram(template, tuple(words))
 
 
+# wirings random_template tries for each of its 20 box profiles
+TEMPLATE_TRIES = 4000
+
+
 def random_template(
-    rng: Random, max_boxes: int, max_strands: int, max_tries: int = 4000
+    rng: Random, max_boxes: int, max_strands: int
 ) -> tuple[KnittedTemplate, int]:
     """Rejection-sample a valid template; returns it with the try count.
 
     The box profile is drawn first and wirings are resampled for that fixed
     profile; otherwise hard profiles (valid wirings are rare for three
-    3-strand boxes) would be crowded out by easy ones.
+    3-strand boxes) would be crowded out by easy ones. Raises ValueError if
+    no try succeeds.
     """
     total = 0
     for _ in range(20):
@@ -549,14 +554,17 @@ def random_template(
             rng.randint(1, max_strands) for _ in range(rng.randint(1, max_boxes))
         )
         endpoints = [(b, p) for b, n in enumerate(boxes) for p in range(n)]
-        for _ in range(max_tries):
+        for _ in range(TEMPLATE_TRIES):
             total += 1
             targets = list(endpoints)
             rng.shuffle(targets)
             wiring = tuple(zip(endpoints, targets))
             if next(_failures(_Candidate(boxes, wiring)), None) is None:
                 return KnittedTemplate(boxes, wiring), total
-    raise RuntimeError(f"no valid template found in {total} tries")
+    raise ValueError(
+        f"no valid template found in {total} tries "
+        f"(max_boxes={max_boxes}, max_strands={max_strands})"
+    )
 
 
 def random_knitted(

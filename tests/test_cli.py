@@ -7,8 +7,10 @@ import sys
 from pathlib import Path
 from random import Random
 
+import pytest
+
 import knitweave
-from knitweave import cli
+from knitweave import cli, knitted
 from knitweave.braid import BraidWord
 from knitweave.cli import main, render_table
 from knitweave.gallery import write_showcase_json
@@ -183,6 +185,7 @@ def test_random_test_rejects_out_of_range_flags(capsys):
         ("--max-boxes", "0"),
         ("--max-strands", "0"),
         ("--max-strands", "-2"),
+        ("--max-strands", str(cli.MAX_STRANDS + 1)),
         ("--max-word-length", "-1"),
     ):
         capsys.readouterr()
@@ -193,6 +196,35 @@ def test_random_test_rejects_out_of_range_flags(capsys):
     rc, out = run_cli("random-test", "--count", "1", "--max-boxes", "1", "--max-strands", "1",
                       "--max-word-length", "0")
     assert rc == 0 and out.startswith("1/1 pass")
+
+
+def test_template_sampling_exhaustion_exits_2(monkeypatch, capsys):
+    # seed 11 exhausts the default tries too, after about 3 s
+    monkeypatch.setattr(knitted, "TEMPLATE_TRIES", 5)
+    rc, out = run_cli("random-test", "--seed", "11", "--count", "1", "--max-boxes", "1",
+                      "--max-strands", "32")
+    err = capsys.readouterr().err
+    assert rc == 2 and out == ""
+    assert err.startswith("error: no valid template found in 100 tries")
+    assert "max_boxes=1" in err and "max_strands=32" in err and "Traceback" not in err
+
+
+def test_input_flags_name_exactly_one_input(tmp_path, capsys):
+    braid = ("--braid", "1", "--strands", "2")
+    cases = (
+        (("homfly", *braid, "--knitted", str(tmp_path / "absent.json")), "--knitted: not allowed with argument --braid"),
+        (("verify-ft", "--knitted", "k.json", *braid), "--braid: not allowed with argument --knitted"),
+        (("homfly", "--pd", "p.pd", "--knitted", "k.json"), "--knitted: not allowed with argument --pd"),
+        (("homfly",), "one of the arguments --braid --pd --knitted is required"),
+        (("verify-ft",), "one of the arguments --braid --knitted is required"),
+    )
+    for argv, message in cases:
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == "", argv
+        assert message in captured.err and "Traceback" not in captured.err, argv
 
 
 def test_hecke_expand_output():
