@@ -8,10 +8,12 @@ grid).
 
 Exit codes: 0 on success, 1 on verification failure, 2 on input that cannot
 be parsed or evaluated (including input deep enough to exhaust Python's
-recursion limit, ``--strands`` or ``--max-strands`` above ``MAX_STRANDS``,
-template sampling that finds no valid template, and a table of more than
-``MAX_TABLE_CELLS`` cells). Argparse exits 2 as well when the input flags
-name no input or more than one.
+recursion limit, ``--strands``, ``--max-strands`` or a knitted box above
+``MAX_STRANDS``, ``--max-word-length`` above ``MAX_WORD_LENGTH``, a Hecke
+expansion of more than ``hecke.MAX_TERMS`` terms, template sampling that
+finds no valid template, and a table of more than ``MAX_TABLE_CELLS``
+cells). Argparse exits 2 as well when the input flags name no input or more
+than one.
 """
 
 from __future__ import annotations
@@ -56,6 +58,14 @@ EXIT_BAD_INPUT = 2
 # (--braid 1 on 5000 strands took 12 s, random-test --max-strands 200 ran for
 # minutes), so the flag is checked before anything is built.
 MAX_STRANDS = 32
+
+# The longest random-test --max-word-length accepted. Every box word of a
+# campaign sample is drawn letter by letter and its closure is evaluated by
+# skein recursion, which at about 70 crossings on 2 strands already exceeds
+# Python's recursion limit (a 2-strand campaign at length 100 exits 2 that
+# way in under 2 s); --max-word-length 100000000 was still drawing its first
+# word after 60 s.
+MAX_WORD_LENGTH = 100
 
 # The most cells (rows x columns) render_table lays out. The grid spans every
 # exponent between the extremes, so a two-term polynomial with v^0 and
@@ -122,6 +132,9 @@ def _resolve_input(args: argparse.Namespace) -> tuple[PlanarDiagram, KnittedDiag
         return compile_diagram(k), k
     if args.knitted_path is not None:
         k = _load_knitted(args.knitted_path)
+        for i, n in enumerate(k.template.boxes):
+            if n > MAX_STRANDS:
+                raise ValueError(f"box {i} has {n} strands; at most {MAX_STRANDS} are allowed")
         return compile_diagram(k), k
     text = Path(args.pd_path).read_text()
     return parse_pd(text), None
@@ -260,12 +273,15 @@ def cmd_random_test(args: argparse.Namespace, out) -> int:
 def cmd_hecke_expand(args: argparse.Namespace, out) -> int:
     word = parse_braid_word(args.braid, args.strands)
     x = expand_word(word)
+    # every expansion is computed first, so a refused one prints nothing
+    sections = []
     if args.basis in ("ppb", "both"):
-        print("PPB expansion:", file=out)
-        print(render_element(x), file=out)
+        sections.append(("PPB expansion:", x))
     if args.basis in ("npb", "both"):
-        print("NPB expansion:", file=out)
-        print(render_element(convert(x, NPB)), file=out)
+        sections.append(("NPB expansion:", convert(x, NPB)))
+    for header, y in sections:
+        print(header, file=out)
+        print(render_element(y), file=out)
     return EXIT_OK
 
 
@@ -333,12 +349,13 @@ def main(argv: list[str] | None = None, out=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag, value in (
-            ("--strands", getattr(args, "strands", None)),
-            ("--max-strands", getattr(args, "max_strands", None)),
+        for flag, value, most in (
+            ("--strands", getattr(args, "strands", None), MAX_STRANDS),
+            ("--max-strands", getattr(args, "max_strands", None), MAX_STRANDS),
+            ("--max-word-length", getattr(args, "max_word_length", None), MAX_WORD_LENGTH),
         ):
-            if value is not None and value > MAX_STRANDS:
-                raise ValueError(f"{flag} must be at most {MAX_STRANDS}, got {value}")
+            if value is not None and value > most:
+                raise ValueError(f"{flag} must be at most {most}, got {value}")
         return _COMMANDS[args.subcommand](args, out)
     except (ValueError, OSError) as exc:  # parse, template and sampling errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,8 @@ the PPB coefficients of phi(x) with z negated, and phi(x) is a sum of U_w.
 
 The arithmetic runs on plain maps {w: {z-exponent: int}} with no zero terms;
 ``mul_generator``, ``expand_word``, ``multiply`` and ``convert`` wrap their
-result in one ``HeckeElement`` at the end.
+result in one ``HeckeElement`` at the end. Each generator step refuses a map
+of more than ``MAX_TERMS`` terms with a ValueError.
 """
 
 from __future__ import annotations
@@ -60,6 +61,13 @@ __all__ = [
 
 PPB = "PPB"
 NPB = "NPB"
+
+# The most terms any intermediate map may hold: 8!, the whole basis of H_8,
+# since FT_8 is the largest full twist the engine aims at. Maps grow with
+# the permutations a word reaches, not with its length (the NPB form of the
+# 12-strand half twist spans all 12! elements), so the limit is checked on
+# every generator step.
+MAX_TERMS = 40320
 
 # {perm: {z-exponent: coefficient}}, zero coefficients never stored
 _Poly = dict[int, int]
@@ -144,7 +152,8 @@ def _step(m: _Map, i: int, positive: bool) -> _Map:
     The z-term of the quadratic relation is a shift of exponents by one. It
     appears on a positive letter that shortens w and, negated, on a negative
     letter that lengthens it; with a negative letter that shortens w the
-    z-terms cancel exactly.
+    z-terms cancel exactly. Raises ValueError if the result has more than
+    MAX_TERMS terms.
     """
     sign = 1 if positive else -1
     out: _Map = {}
@@ -174,6 +183,10 @@ def _step(m: _Map, i: int, positive: bool) -> _Map:
                         d[e + 1] = v
                     else:
                         del d[e + 1]
+    if len(out) > MAX_TERMS:
+        raise ValueError(
+            f"Hecke expansion exceeds the limit of MAX_TERMS = {MAX_TERMS} terms"
+        )
     return out
 
 

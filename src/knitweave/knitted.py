@@ -31,7 +31,6 @@ from typing import Iterator, NamedTuple, Sequence
 
 from knitweave.braid import (
     BraidWord,
-    Perm,
     full_twist_word,
     half_twist_word,
     reduced_word,
@@ -44,7 +43,7 @@ from knitweave.diagram import (
     _union_find,
     _word_crossings,
 )
-from knitweave.hecke import expand_word, top_coeff
+from knitweave.hecke import _add_product, expand_word, top_coeff
 from knitweave.laurent import LaurentVZ, LaurentZ
 from knitweave.skein import homfly_framed
 
@@ -287,20 +286,6 @@ def ft(k: KnittedDiagram) -> KnittedDiagram:
     return KnittedDiagram(k.template, words)
 
 
-_TUPLE_CACHE: dict[tuple[KnittedTemplate, tuple[Perm, ...]], LaurentVZ] = {}
-
-
-def _tuple_value(t: KnittedTemplate, perms: tuple[Perm, ...]) -> LaurentVZ:
-    """H of the template filled with the positive permutation braids T_w."""
-    key = (t, perms)
-    cached = _TUPLE_CACHE.get(key)
-    if cached is None:
-        words = tuple(reduced_word(p) for p in perms)
-        cached = homfly_framed(compile_diagram(KnittedDiagram(t, words)))
-        _TUPLE_CACHE[key] = cached
-    return cached
-
-
 def eval_hecke(k: KnittedDiagram) -> LaurentVZ:
     """H(k) through the Hecke expansion of every box word.
 
@@ -308,19 +293,29 @@ def eval_hecke(k: KnittedDiagram) -> LaurentVZ:
     tuple of basis permutations with nonzero coefficients, the template is
     compiled with the corresponding reduced words and evaluated, and the
     coefficient-weighted values are summed. Agrees with evaluating the
-    compiled diagram directly.
+    compiled diagram directly. Keeps nothing between calls: the tuples share
+    only the skein memo.
     """
     t = k.template
     _require_valid(t)
-    expansions = [sorted(expand_word(w).coeffs.items()) for w in k.words]
-    total = LaurentVZ.zero()
+    # per box: each term's reduced word and z-coefficient map, read once
+    expansions = [
+        [(reduced_word(w), c.terms) for w, c in sorted(expand_word(word).coeffs.items())]
+        for word in k.words
+    ]
+    total: dict[tuple[int, int], int] = {}
     for combo in itertools.product(*expansions):
-        coeff = LaurentZ.one()
+        coeff = {0: 1}
         for _, c in combo:
-            coeff = coeff * c
-        perms = tuple(w for w, _ in combo)
-        total = total + coeff.as_vz() * _tuple_value(t, perms)
-    return total
+            prod: dict[int, int] = {}
+            _add_product(prod, coeff, c)
+            coeff = prod
+        words = tuple(w for w, _ in combo)
+        h = homfly_framed(compile_diagram(KnittedDiagram(t, words)))
+        for (v, z), a in h.terms.items():
+            for e, b in coeff.items():
+                total[v, z + e] = total.get((v, z + e), 0) + a * b
+    return LaurentVZ(total)
 
 
 def extreme_minus_fast(k: KnittedDiagram) -> LaurentZ:

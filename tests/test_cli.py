@@ -10,13 +10,14 @@ from random import Random
 import pytest
 
 import knitweave
-from knitweave import cli, knitted
-from knitweave.braid import BraidWord
+from knitweave import cli, hecke, knitted
+from knitweave.braid import BraidWord, half_twist_word
 from knitweave.cli import main, render_table
 from knitweave.gallery import write_showcase_json
 from knitweave.knitted import (
     braid_closure_knitted,
     knitted_from_json,
+    knitted_to_json,
     random_knitted,
     verify_theorem,
 )
@@ -187,6 +188,7 @@ def test_random_test_rejects_out_of_range_flags(capsys):
         ("--max-strands", "-2"),
         ("--max-strands", str(cli.MAX_STRANDS + 1)),
         ("--max-word-length", "-1"),
+        ("--max-word-length", str(cli.MAX_WORD_LENGTH + 1)),
     ):
         capsys.readouterr()
         rc, out = run_cli("random-test", "--count", "1", flag, value)
@@ -196,6 +198,8 @@ def test_random_test_rejects_out_of_range_flags(capsys):
     rc, out = run_cli("random-test", "--count", "1", "--max-boxes", "1", "--max-strands", "1",
                       "--max-word-length", "0")
     assert rc == 0 and out.startswith("1/1 pass")
+    rc, out = run_cli("random-test", "--count", "0", "--max-word-length", str(cli.MAX_WORD_LENGTH))
+    assert rc == 0 and out.strip() == "0/0 pass"
 
 
 def test_template_sampling_exhaustion_exits_2(monkeypatch, capsys):
@@ -232,6 +236,49 @@ def test_hecke_expand_output():
     assert rc == 0
     assert "PPB expansion:" in out and "NPB expansion:" in out
     assert "2,1 : z" in out
+
+
+def test_hecke_expansion_over_the_term_limit_exits_2_and_prints_nothing(monkeypatch, capsys):
+    monkeypatch.setattr(hecke, "MAX_TERMS", 24)
+
+    def half_twist(n):
+        return ("hecke-expand", "--braid=" + ",".join(map(str, half_twist_word(n).letters)), "--strands", str(n))
+
+    # the NPB form of the half twist spans the whole basis: 4! terms is at the limit
+    rc, out = run_cli(*half_twist(4), "--basis", "both")
+    assert rc == 0 and len(out.splitlines()) == 2 + 1 + 24
+    for basis in ("npb", "both"):
+        capsys.readouterr()
+        rc, out = run_cli(*half_twist(5), "--basis", basis)
+        err = capsys.readouterr().err
+        assert rc == 2 and out == "", basis
+        assert err.startswith("error: ") and "MAX_TERMS = 24" in err and "Traceback" not in err, basis
+
+
+def test_knitted_boxes_above_the_strand_limit_exit_2(tmp_path, monkeypatch, capsys):
+    limit = cli.MAX_STRANDS
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(knitted_to_json(braid_closure_knitted(BraidWord(limit, (1,))))))
+    rc, out = run_cli("homfly", "--knitted", str(path))
+    assert rc == 0 and f"seifert circles: {limit}" in out
+
+    def never(*args):
+        raise AssertionError("compiled a box above the strand limit")
+
+    monkeypatch.setattr(cli, "compile_diagram", never)
+    wide = knitted_to_json(braid_closure_knitted(BraidWord(limit + 1, (1,))))
+    wide["boxes"].insert(0, {"strands": 1, "word": []})  # the wide box is box 1
+    wide["wiring"] = [["b0.out0", "b0.in0"]] + [
+        [f"b1.out{p}", f"b1.in{p}"] for p in range(limit + 1)
+    ]
+    path.write_text(json.dumps(wide))
+    for command in ("homfly", "verify-ft"):
+        capsys.readouterr()
+        rc, out = run_cli(command, "--knitted", str(path))
+        err = capsys.readouterr().err
+        assert rc == 2 and out == "", command
+        assert err.startswith(f"error: box 1 has {limit + 1} strands") and str(limit) in err, command
+        assert "Traceback" not in err, command
 
 
 def test_recursion_limit_exits_2_without_traceback(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 from itertools import permutations
+from math import factorial
 from random import Random
 
 import pytest
@@ -27,6 +28,7 @@ from knitweave.hecke import (
     top_coeff,
     unit,
 )
+from knitweave.knitted import braid_closure_knitted, eval_hecke
 from knitweave.laurent import LaurentZ
 
 Z = LaurentZ.term(1)
@@ -266,3 +268,23 @@ def test_npb_coefficients_are_the_z_negated_image_of_the_inverse_letters(word):
 def test_negate_z_flips_the_sign_of_odd_powers_only():
     m = {(2, 1): {-1: 1, 0: 2, 1: 3, 2: 4}}
     assert hecke._negate_z(m) == {(2, 1): {-1: -1, 0: 2, 1: -3, 2: 4}}
+
+
+def test_every_generator_step_is_held_to_max_terms(monkeypatch):
+    assert hecke.MAX_TERMS == factorial(8)  # the whole basis of H_8
+    monkeypatch.setattr(hecke, "MAX_TERMS", 24)
+    # U_w0 on 4 strands spans all 4! = 24 basis elements: exactly at the limit
+    w0 = longest_element(4)
+    assert len(convert(basis_element(4, w0, NPB), PPB).coeffs) == 24
+    assert len(convert(basis_element(4, w0), NPB).coeffs) == 24
+    w0 = longest_element(5)
+    negative_half_twist = BraidWord(5, tuple(-g for g in half_twist_word(5).letters))
+    refused = (
+        lambda: expand_word(negative_half_twist),
+        lambda: convert(basis_element(5, w0, NPB), PPB),
+        lambda: convert(basis_element(5, w0), NPB),
+        lambda: eval_hecke(braid_closure_knitted(negative_half_twist)),
+    )
+    for call in refused:
+        with pytest.raises(ValueError, match="MAX_TERMS = 24"):
+            call()
