@@ -122,27 +122,27 @@ def _load_knitted(path: str) -> KnittedDiagram:
     return knitted_from_json(obj)
 
 
-def _resolve_input(args: argparse.Namespace) -> tuple[PlanarDiagram, KnittedDiagram | None]:
-    """Turn the input flags into a diagram (and the knitted form if given)."""
+def _resolve_input(args: argparse.Namespace) -> KnittedDiagram | PlanarDiagram:
+    """Turn the input flags into the knitted diagram or PD code they name."""
     if args.braid is not None:
         if args.strands is None:
             raise ValueError("--braid requires --strands")
-        word = parse_braid_word(args.braid, args.strands)
-        k = braid_closure_knitted(word)
-        return compile_diagram(k), k
+        return braid_closure_knitted(parse_braid_word(args.braid, args.strands))
     if args.knitted_path is not None:
         k = _load_knitted(args.knitted_path)
         for i, n in enumerate(k.template.boxes):
             if n > MAX_STRANDS:
                 raise ValueError(f"box {i} has {n} strands; at most {MAX_STRANDS} are allowed")
-        return compile_diagram(k), k
-    text = Path(args.pd_path).read_text()
-    return parse_pd(text), None
+        return k
+    return parse_pd(Path(args.pd_path).read_text())
 
 
 def cmd_homfly(args: argparse.Namespace, out) -> int:
-    d, k = _resolve_input(args)
-    framed = eval_hecke(k) if k is not None else homfly_framed(d)
+    source = _resolve_input(args)
+    if isinstance(source, KnittedDiagram):
+        d, framed = compile_diagram(source), eval_hecke(source)
+    else:
+        d, framed = source, homfly_framed(source)
     s, _ = seifert_circles(d)
     w = writhe(d)
     unframed = LaurentVZ.monomial(w, 0) * framed
@@ -183,8 +183,7 @@ def _print_stats(out, s: int, w: int, mfw_ok: bool, plus_zero: bool, minus_zero:
 
 
 def cmd_verify_ft(args: argparse.Namespace, out) -> int:
-    _, k = _resolve_input(args)
-    report = verify_theorem(k)
+    report = verify_theorem(_resolve_input(args))
     print(f"seifert circles: {report.seifert_count}", file=out)
     print(f"sign: {report.sign:+d}", file=out)
     print(f"H-(D)       = {report.h_minus}", file=out)

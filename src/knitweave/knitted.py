@@ -5,7 +5,7 @@ together with a crossing-free wiring: a bijection from box outputs to box
 inputs. Filling each box with a braid word gives a knitted diagram; every
 crossing of the compiled link diagram lives inside some box.
 
-A template is valid when:
+A template is in the paper's class when:
 
 - the wiring is a perfect matching of outputs to inputs,
 - the wiring is realizable in the plane with the boxes as obstacles
@@ -18,6 +18,11 @@ The last two conditions are what makes the full-twist formula work: adjacent
 strands inside a box lie on distinct circles that meet nowhere else, so a
 reduced negative (or positive) permutation braid in a box leaves a
 single-crossing circle pair that kills the corresponding extreme coefficient.
+
+``KnittedTemplate`` checks every condition when it is built, so a template
+that exists is in the class and nothing downstream checks again.
+``validate(boxes, wiring)`` reports the failed conditions as data, and the
+``TemplateError`` the constructor raises carries that report.
 """
 
 from __future__ import annotations
@@ -25,9 +30,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from random import Random
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from knitweave.braid import (
     BraidWord,
@@ -78,7 +82,11 @@ Endpoint = tuple[int, int]
 
 @dataclass(frozen=True)
 class KnittedTemplate:
-    """Braid boxes plus a wiring bijection from outputs to inputs."""
+    """Braid boxes plus a wiring bijection from outputs to inputs.
+
+    Construction checks every template condition, so a template that exists
+    is in the paper's class; a wiring outside it raises ``TemplateError``.
+    """
 
     boxes: tuple[int, ...]
     wiring: tuple[tuple[Endpoint, Endpoint], ...]  # ((out box, pos), (in box, pos))
@@ -95,6 +103,8 @@ class KnittedTemplate:
                 )
             ),
         )
+        if not self.boxes:
+            raise ValueError("a template needs at least one box")
         if any(n < 1 for n in self.boxes):
             raise ValueError("every box needs at least one strand")
         # checked first, so a huge strand count costs nothing to reject
@@ -109,26 +119,9 @@ class KnittedTemplate:
             raise ValueError("wiring must use every box output exactly once")
         if len(set(ins)) != len(ins) or set(ins) != expected:
             raise ValueError("wiring must use every box input exactly once")
-
-    @property
-    def wiring_map(self) -> dict[Endpoint, Endpoint]:
-        return dict(self.wiring)
-
-    @cached_property
-    def _report(self) -> ValidationReport:
-        failures = tuple(_failures(self))
-        return ValidationReport(not failures, failures)
-
-
-class _Candidate(NamedTuple):
-    """Boxes and a wiring that is already a bijection, not yet a template.
-
-    The template checks read only these two fields, so the sampler runs them
-    on candidates and builds a ``KnittedTemplate`` only for the one it keeps.
-    """
-
-    boxes: tuple[int, ...]
-    wiring: tuple[tuple[Endpoint, Endpoint], ...]
+        report = validate(self.boxes, self.wiring)
+        if not report.ok:
+            raise TemplateError(report)
 
 
 @dataclass(frozen=True)
@@ -161,92 +154,96 @@ class TemplateError(ValueError):
         self.report = report
 
 
-def _circles(t: KnittedTemplate | _Candidate) -> list[list[int]]:
-    """Seifert circles of the template: each is the list of boxes it visits.
+def _circles(wiring: Sequence[tuple[Endpoint, Endpoint]]) -> list[list[int]]:
+    """Seifert circles of the wiring: each is the list of boxes it visits.
 
     With identity braids a strand enters in_p and leaves out_p, so circles
-    are the orbits of wiring followed by identity pass-through. The order of
-    the wiring pairs does not matter.
+    are the orbits of wiring followed by identity pass-through, numbered by
+    their smallest endpoint. The order of the wiring pairs does not matter.
     """
-    wmap = dict(t.wiring)
-    todo = set(wmap)
+    wmap = dict(wiring)
+    seen: set[Endpoint] = set()
     circles: list[list[int]] = []
-    while todo:
-        start = min(todo)
-        cur = start
+    for start in sorted(wmap):
+        if start in seen:
+            continue
         boxes: list[int] = []
-        while True:
-            todo.discard(cur)
-            dst_box, dst_pos = wmap[cur]
-            boxes.append(dst_box)
-            cur = (dst_box, dst_pos)  # identity pass-through to the same position
-            if cur == start:
-                break
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            cur = wmap[cur]  # identity pass-through to the same position
+            boxes.append(cur[0])
         circles.append(boxes)
     return circles
 
 
-def _ribbon_planar(t: KnittedTemplate | _Candidate) -> bool:
+def _ribbon_planar(
+    boxes: Sequence[int], wiring: Sequence[tuple[Endpoint, Endpoint]]
+) -> bool:
     """Genus-0 test for the box-and-wire ribbon graph.
 
     Each box is a vertex with counterclockwise port rotation
     (in_0, ..., in_{n-1}, out_{n-1}, ..., out_0); each wire is an edge. Box b
     owns the half-edges start[b] .. start[b + 1] - 1 in that order.
     """
-    start = list(itertools.accumulate((2 * n for n in t.boxes), initial=0))
+    start = list(itertools.accumulate((2 * n for n in boxes), initial=0))
     partner = [0] * start[-1]
-    for (ob, op), (ib, ip) in t.wiring:
+    for (ob, op), (ib, ip) in wiring:
         out_h, in_h = start[ob + 1] - 1 - op, start[ib] + ip
         partner[out_h], partner[in_h] = in_h, out_h
     return _genus_zero([range(a, b) for a, b in zip(start, start[1:])], partner)
 
 
-def _failures(t: KnittedTemplate | _Candidate) -> Iterator[str]:
+def _failures(
+    boxes: Sequence[int], wiring: Sequence[tuple[Endpoint, Endpoint]]
+) -> Iterator[str]:
     """Each failed template condition, lazily and cheapest check first.
 
-    Almost every random wiring already fails a circle check, so the ribbon
-    face trace runs last.
+    ``wiring`` must be a bijection from the box outputs to the box inputs, in
+    any order. Almost every random wiring already fails a circle check, so the
+    ribbon face trace runs last. The template is checked before the CLI's
+    strand limit, so no step is quadratic in the strands of one box: circles
+    that share two boxes are found through the pairs of boxes each one meets,
+    not by comparing every pair of circles.
     """
-    circles = _circles(t)
-    for i, boxes in enumerate(circles):
-        dups = sorted({b for b in boxes if boxes.count(b) > 1})
-        if dups:
+    circles = _circles(wiring)
+    for i, visits in enumerate(circles):
+        met = set(visits)
+        if len(met) < len(visits):
+            dups = sorted(b for b in met if visits.count(b) > 1)
             yield f"circle {i} passes through box(es) {dups} more than once"
-    incidence = [set(boxes) for boxes in circles]
-    for i, j in itertools.combinations(range(len(circles)), 2):
-        shared = sorted(incidence[i] & incidence[j])
-        if len(shared) >= 2:
-            yield f"circles {i} and {j} share boxes {shared}"
-    if not _ribbon_planar(t):
+    incidence = [set(visits) for visits in circles]
+    on_pair: dict[tuple[int, int], list[int]] = {}
+    for i, met in enumerate(incidence):
+        for pair in itertools.combinations(sorted(met), 2):
+            on_pair.setdefault(pair, []).append(i)
+    sharing = {ij for on in on_pair.values() for ij in itertools.combinations(on, 2)}
+    for i, j in sorted(sharing):
+        yield f"circles {i} and {j} share boxes {sorted(incidence[i] & incidence[j])}"
+    if not _ribbon_planar(boxes, wiring):
         yield "wiring is not realizable in the plane around the boxes"
 
 
-def validate(t: KnittedTemplate) -> ValidationReport:
+def validate(
+    boxes: Sequence[int], wiring: Sequence[tuple[Endpoint, Endpoint]]
+) -> ValidationReport:
     """Check all template conditions; failures are data, not exceptions.
 
-    The checks run once per template object; later calls return the same
-    report.
+    ``wiring`` must be a bijection from the box outputs to the box inputs;
+    ``KnittedTemplate`` checks that first and then calls this.
     """
-    return t._report
-
-
-def _require_valid(t: KnittedTemplate) -> None:
-    report = validate(t)
-    if not report.ok:
-        raise TemplateError(report)
+    failures = tuple(_failures(boxes, wiring))
+    return ValidationReport(not failures, failures)
 
 
 def seifert_count(t: KnittedTemplate) -> int:
     """Number of Seifert circles of any diagram on this template."""
-    _require_valid(t)
-    return len(_circles(t))
+    return len(_circles(t.wiring))
 
 
 def compile_diagram(k: KnittedDiagram) -> PlanarDiagram:
     """PD code of the knitted diagram: box crossings joined per the wiring."""
     t = k.template
-    _require_valid(t)
-
     arc_of_out: dict[Endpoint, int] = {}
     arc_of_in: dict[Endpoint, int] = {}
     for w_id, (src, dst) in enumerate(t.wiring):
@@ -297,7 +294,6 @@ def eval_hecke(k: KnittedDiagram) -> LaurentVZ:
     only the skein memo.
     """
     t = k.template
-    _require_valid(t)
     # per box: each term's reduced word and z-coefficient map, read once
     expansions = [
         [(reduced_word(w), c.terms) for w, c in sorted(expand_word(word).coeffs.items())]
@@ -327,9 +323,7 @@ def extreme_minus_fast(k: KnittedDiagram) -> LaurentZ:
     every other negative permutation braid leaves a circle pair with a single
     negative crossing inside its box.
     """
-    t = k.template
-    _require_valid(t)
-    s = seifert_count(t)
+    s = seifert_count(k.template)
     prod = LaurentZ.one()
     for word in k.words:
         x = expand_word(half_twist_word(word.strands) + word)
@@ -525,7 +519,7 @@ def knitted_from_json(obj: dict) -> KnittedDiagram:
         src = _parse_endpoint(pair[0], "out", strands)
         dst = _parse_endpoint(pair[1], "in", strands)
         wiring.append((src, dst))
-    template = KnittedTemplate(tuple(strands), tuple(wiring))  # enforces matching
+    template = KnittedTemplate(tuple(strands), tuple(wiring))  # enforces every condition
     return KnittedDiagram(template, tuple(words))
 
 
@@ -540,8 +534,9 @@ def random_template(
 
     The box profile is drawn first and wirings are resampled for that fixed
     profile; otherwise hard profiles (valid wirings are rare for three
-    3-strand boxes) would be crowded out by easy ones. Raises ValueError if
-    no try succeeds.
+    3-strand boxes) would be crowded out by easy ones. Each wiring is checked
+    only up to its first failed condition, and a template is built only for
+    the wiring kept. Raises ValueError if no try succeeds.
     """
     total = 0
     for _ in range(20):
@@ -554,7 +549,7 @@ def random_template(
             targets = list(endpoints)
             rng.shuffle(targets)
             wiring = tuple(zip(endpoints, targets))
-            if next(_failures(_Candidate(boxes, wiring)), None) is None:
+            if next(_failures(boxes, wiring), None) is None:
                 return KnittedTemplate(boxes, wiring), total
     raise ValueError(
         f"no valid template found in {total} tries "

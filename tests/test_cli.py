@@ -281,6 +281,56 @@ def test_knitted_boxes_above_the_strand_limit_exit_2(tmp_path, monkeypatch, caps
         assert "Traceback" not in err, command
 
 
+def test_a_wide_box_is_checked_in_linear_time_before_the_strand_limit(tmp_path):
+    # the template conditions run as the file loads, before the strand limit:
+    # on one box of 20,000 strands, each its own circle, a check over every
+    # pair of circles would run for minutes
+    n = 20000
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "boxes": [{"strands": n, "word": []}],
+        "wiring": [[f"b0.out{p}", f"b0.in{p}"] for p in range(n)],
+    }))
+    src = str(Path(knitweave.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "knitweave.cli", "homfly", "--knitted", str(path)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: box 0 has {n} strands"), proc.stderr
+
+
+def test_invalid_knitted_template_exits_2_at_load(tmp_path, capsys):
+    # the 2-strand closure with its strands crossed over
+    crossed = {"boxes": [{"strands": 2, "word": [1]}], "wiring": [["b0.out0", "b0.in1"], ["b0.out1", "b0.in0"]]}
+    cases = (
+        (crossed, ("error: invalid knitted template: ", "more than once", "not realizable in the plane")),
+        ({"boxes": [], "wiring": []}, ("error: a template needs at least one box",)),
+    )
+    path = tmp_path / "bad.json"
+    for obj, phrases in cases:
+        path.write_text(json.dumps(obj))
+        for command in ("homfly", "verify-ft"):
+            capsys.readouterr()
+            rc, out = run_cli(command, "--knitted", str(path))
+            err = capsys.readouterr().err
+            assert rc == 2 and out == "", (command, obj)
+            assert err.startswith(phrases[0]) and all(p in err for p in phrases), (command, err)
+            assert "Traceback" not in err, command
+
+
+def test_verify_ft_compiles_nothing_itself(tmp_path, monkeypatch):
+    def never(*args):
+        raise AssertionError("verify-ft compiled a diagram it does not use")
+
+    monkeypatch.setattr(cli, "compile_diagram", never)
+    path = write_showcase_json(tmp_path / "showcase.json")
+    for flags in (("--knitted", str(path)), ("--braid", "1,1,1", "--strands", "2")):
+        rc, out = run_cli("verify-ft", *flags)
+        assert rc == 0 and "verdict: PASS" in out, flags
+
+
 def test_recursion_limit_exits_2_without_traceback(tmp_path, monkeypatch, capsys):
     def bottomless(d):
         return bottomless(d)

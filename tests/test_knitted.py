@@ -41,41 +41,78 @@ from knitweave.knitted import (
 from knitweave.laurent import LaurentVZ, LaurentZ, delta_pow
 from knitweave.skein import homfly_framed
 
+# the 2-strand closure with its strands crossed over: one circle through the
+# box twice, and not planar around it
+CROSSED = (((0, 0), (0, 1)), ((0, 1), (0, 0)))
+
 
 def test_braid_closure_template_is_valid():
     for n in range(1, 5):
-        assert validate(braid_closure_template(n)).ok
-        assert seifert_count(braid_closure_template(n)) == n
+        t = braid_closure_template(n)
+        assert validate(t.boxes, t.wiring).ok
+        assert seifert_count(t) == n
 
 
 def test_crossed_closure_wiring_is_rejected_by_planarity():
-    t = KnittedTemplate((2,), (((0, 0), (0, 1)), ((0, 1), (0, 0))))
-    report = validate(t)
+    with pytest.raises(TemplateError) as err:
+        KnittedTemplate((2,), CROSSED)
+    report = err.value.report
     assert not report.ok
     assert any("plane" in f for f in report.failures)
 
 
 def test_shared_pair_condition_fails():
     # two 2-strand boxes, both circles passing through both boxes
-    t = KnittedTemplate(
-        (2, 2),
-        (
-            ((0, 0), (1, 0)),
-            ((0, 1), (1, 1)),
-            ((1, 0), (0, 0)),
-            ((1, 1), (0, 1)),
-        ),
-    )
-    report = validate(t)
+    with pytest.raises(TemplateError) as err:
+        KnittedTemplate(
+            (2, 2),
+            (
+                ((0, 0), (1, 0)),
+                ((0, 1), (1, 1)),
+                ((1, 0), (0, 0)),
+                ((1, 1), (0, 1)),
+            ),
+        )
+    report = err.value.report
     assert not report.ok
     assert any("share boxes" in f for f in report.failures)
 
 
 def test_at_most_once_condition_fails():
     # one 2-strand box wired so a single circle passes through it twice
-    t = KnittedTemplate((2,), (((0, 0), (0, 1)), ((0, 1), (0, 0))))
-    report = validate(t)
-    assert any("more than once" in f for f in report.failures)
+    with pytest.raises(TemplateError) as err:
+        KnittedTemplate((2,), CROSSED)
+    assert any("more than once" in f for f in err.value.report.failures)
+
+
+@st.composite
+def _bijective_wirings(draw):
+    """Up to three boxes of up to three strands, wired by a random bijection
+    whose pairs come in a random order."""
+    boxes = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    ends = [(b, p) for b, n in enumerate(boxes) for p in range(n)]
+    targets = draw(st.permutations(ends))
+    return boxes, tuple(draw(st.permutations(list(zip(ends, targets)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bijective_wirings())
+def test_constructor_refuses_exactly_what_the_sampler_rejects(case):
+    boxes, wiring = case
+    if next(knitted._failures(boxes, wiring), None) is None:
+        KnittedTemplate(boxes, wiring)
+    else:
+        with pytest.raises(TemplateError) as err:
+            KnittedTemplate(boxes, wiring)
+        assert err.value.report.failures == tuple(knitted._failures(boxes, wiring))
+
+
+def test_a_template_needs_a_box():
+    with pytest.raises(ValueError, match="at least one box"):
+        KnittedTemplate((), ())
+    # an edgeless graph has a vertex, so a Seifert circle, but no box to carry it
+    with pytest.raises(ValueError, match="at least one box"):
+        from_bipartite_graph(PlaneBipartiteGraph(1, (), ((),)))
 
 
 def test_wiring_must_be_a_perfect_matching():
@@ -100,7 +137,7 @@ def test_seifert_count_examples():
             ((1, 1), (1, 1)),
         ),
     )
-    assert validate(t2).ok
+    assert validate(t2.boxes, t2.wiring).ok
     assert seifert_count(t2) == 4
 
 
@@ -179,9 +216,9 @@ def test_eval_hecke_matches_direct_evaluation():
 
 
 def test_eval_hecke_rejects_invalid_template():
-    t = KnittedTemplate((2,), (((0, 0), (0, 1)), ((0, 1), (0, 0))))
+    # the template is refused when it is built, before eval_hecke can see it
     with pytest.raises(TemplateError):
-        eval_hecke(KnittedDiagram(t, (BraidWord(2, ()),)))
+        eval_hecke(KnittedDiagram(KnittedTemplate((2,), CROSSED), (BraidWord(2, ()),)))
 
 
 def test_extreme_minus_fast_examples():
@@ -231,9 +268,9 @@ def test_verify_theorem_checks_the_template_once(monkeypatch):
     traced = []
     ribbon_planar = knitted._ribbon_planar
 
-    def counting(t):
-        traced.append(t)
-        return ribbon_planar(t)
+    def counting(boxes, wiring):
+        traced.append(wiring)
+        return ribbon_planar(boxes, wiring)
 
     monkeypatch.setattr(knitted, "_ribbon_planar", counting)
     assert verify_theorem(showcase_knot()).passed
@@ -271,7 +308,7 @@ def test_from_bipartite_graph_single_edge():
     g = PlaneBipartiteGraph(2, ((0, 1),), ((0,), (0,)))
     t = from_bipartite_graph(g)
     assert len(t.boxes) == 1 and seifert_count(t) == 2
-    assert validate(t).ok
+    assert validate(t.boxes, t.wiring).ok
 
 
 def test_from_bipartite_graph_four_cycle():
@@ -280,9 +317,9 @@ def test_from_bipartite_graph_four_cycle():
     )
     t = from_bipartite_graph(g)
     assert len(t.boxes) == 4 and seifert_count(t) == 4
-    assert validate(t).ok
+    assert validate(t.boxes, t.wiring).ok
     circles = {}
-    wmap = t.wiring_map
+    wmap = dict(t.wiring)
     # every circle should meet exactly two boxes
     seen = set()
     for start in wmap:
@@ -303,7 +340,7 @@ def test_from_bipartite_graph_four_cycle():
 
 def test_from_bipartite_graph_showcase():
     t = from_bipartite_graph(showcase_graph())
-    assert validate(t).ok
+    assert validate(t.boxes, t.wiring).ok
     assert len(t.boxes) == 7 and all(n == 2 for n in t.boxes)
     assert seifert_count(t) == 6
     # filling the boxes gives honest knitted diagrams
@@ -429,5 +466,5 @@ def test_random_template_respects_bounds_and_validates():
         t, tries = random_template(rng, 3, 3)
         assert 1 <= len(t.boxes) <= 3
         assert all(1 <= n <= 3 for n in t.boxes)
-        assert validate(t).ok
+        assert validate(t.boxes, t.wiring).ok
         assert tries >= 1
