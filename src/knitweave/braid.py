@@ -15,20 +15,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+
 __all__ = [
     "BraidWord",
     "Perm",
     "identity_perm",
     "longest_element",
-    "perm_of_word",
     "coxeter_length",
     "reduced_word",
     "half_twist_word",
     "full_twist_word",
-    "writhe_word",
     "parse_braid_word",
-    "format_braid_word",
 ]
 
 Perm = tuple[int, ...]
@@ -61,10 +58,6 @@ class BraidWord:
             raise ValueError("cannot concatenate words on different strand counts")
         return BraidWord(self.strands, self.letters + other.letters)
 
-    def inverse(self) -> BraidWord:
-        """The group inverse: reversed order, negated letters."""
-        return BraidWord(self.strands, tuple(-g for g in reversed(self.letters)))
-
 
 def identity_perm(n: int) -> Perm:
     return tuple(range(1, n + 1))
@@ -73,23 +66,6 @@ def identity_perm(n: int) -> Perm:
 def longest_element(n: int) -> Perm:
     """The order-reversing permutation (n, n-1, ..., 1)."""
     return tuple(range(n, 0, -1))
-
-
-def perm_of_word(word: BraidWord) -> Perm:
-    """Underlying permutation; crossing signs are ignored.
-
-    A strand entering at position p leaves at position perm(p).
-    """
-    images = list(range(1, word.strands + 1))
-    for g in word.letters:
-        i = abs(g)
-        # appending a letter swaps the values i, i+1 (s_i o w)
-        for j, image in enumerate(images):
-            if image == i:
-                images[j] = i + 1
-            elif image == i + 1:
-                images[j] = i
-    return tuple(images)
 
 
 def coxeter_length(p: Perm) -> int:
@@ -120,7 +96,6 @@ def reduced_word(p: Perm) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
-@lru_cache(maxsize=None)
 def half_twist_word(n: int) -> BraidWord:
     """Reduced word of the longest element; the positive half twist."""
     if n < 1:
@@ -128,16 +103,10 @@ def half_twist_word(n: int) -> BraidWord:
     return reduced_word(longest_element(n))
 
 
-@lru_cache(maxsize=None)
 def full_twist_word(n: int) -> BraidWord:
     """Half twist squared; central in the braid group."""
     ht = half_twist_word(n)
     return ht + ht
-
-
-def writhe_word(word: BraidWord) -> int:
-    """Sum of letter signs."""
-    return sum(1 if g > 0 else -1 for g in word.letters)
 
 
 def parse_braid_word(text: str, strands: int) -> BraidWord:
@@ -156,7 +125,3 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
             raise ValueError(f"bad braid letter {tok!r} at position {i}")
         letters.append(int(tok))
     return BraidWord(strands, tuple(letters))
-
-
-def format_braid_word(word: BraidWord) -> str:
-    return ",".join(str(g) for g in word.letters)

@@ -33,9 +33,7 @@ __all__ = [
     "writhe",
     "component_count",
     "planarity_check",
-    "canonical_key",
     "parse_pd",
-    "format_pd",
 ]
 
 
@@ -385,12 +383,6 @@ def canonical_raw(
     return (tuple(sorted(encodings)), free_loops)
 
 
-def canonical_key(d: PlanarDiagram) -> tuple:
-    """A relabeling-invariant key; equal iff the diagrams are isomorphic."""
-    raw, loops = d.raw()
-    return canonical_raw(raw, loops)
-
-
 class PDParseError(ValueError):
     """Parse failure with a line/column position."""
 
@@ -466,11 +458,3 @@ def parse_pd(text: str) -> PlanarDiagram:
             raise PDParseError(f"arc {arc} is produced but never consumed", line, col)
     return PlanarDiagram(crossings, free_loops)
 
-
-def format_pd(d: PlanarDiagram) -> str:
-    parts = [
-        f"X[{c.under_in},{c.over_in},{c.under_out},{c.over_out};{'+' if c.sign > 0 else '-'}]"
-        for c in d.crossings
-    ]
-    parts += ["O"] * d.free_loops
-    return " ".join(parts)

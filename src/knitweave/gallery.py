@@ -6,14 +6,9 @@ import json
 from pathlib import Path
 
 from knitweave.braid import BraidWord
-from knitweave.knitted import (
-    KnittedDiagram,
-    KnittedTemplate,
-    PlaneBipartiteGraph,
-    knitted_to_json,
-)
+from knitweave.knitted import KnittedDiagram, KnittedTemplate, knitted_to_json
 
-__all__ = ["showcase_knot", "showcase_graph", "write_showcase_json"]
+__all__ = ["showcase_knot", "write_showcase_json"]
 
 
 def showcase_knot() -> KnittedDiagram:
@@ -50,24 +45,6 @@ def showcase_knot() -> KnittedDiagram:
         BraidWord(2, (1,)),
     )
     return KnittedDiagram(template, words)
-
-
-def showcase_graph() -> PlaneBipartiteGraph:
-    """A plane simple bipartite graph on 6 vertices and 7 edges.
-
-    Reversing Seifert's algorithm on it yields a 7-box knitted template with
-    one Seifert circle per vertex.
-    """
-    edges = ((0, 1), (0, 3), (1, 2), (2, 3), (2, 4), (3, 5), (4, 5))
-    rotations = (
-        (0, 1),
-        (2, 0),
-        (4, 3, 2),
-        (5, 1, 3),
-        (6, 4),
-        (5, 6),
-    )
-    return PlaneBipartiteGraph(6, edges, rotations)
 
 
 def write_showcase_json(path: str | Path) -> Path:

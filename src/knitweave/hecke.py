@@ -25,9 +25,9 @@ sends T_w to U_w (Jones, Ann. Math. 1987). So the NPB coefficients of x are
 the PPB coefficients of phi(x) with z negated, and phi(x) is a sum of U_w.
 
 The arithmetic runs on plain maps {w: {z-exponent: int}} with no zero terms;
-``mul_generator``, ``expand_word``, ``multiply`` and ``convert`` wrap their
-result in one ``HeckeElement`` at the end. Each generator step refuses a map
-of more than ``MAX_TERMS`` terms with a ValueError.
+only ``expand_word`` and ``convert`` build a ``HeckeElement``, once, from the
+map they end with. Each generator step refuses a map of more than
+``MAX_TERMS`` terms with a ValueError.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from knitweave.braid import (
     coxeter_length,
     identity_perm,
     longest_element,
-    reduced_word,
 )
 from knitweave.laurent import LaurentZ
 
@@ -49,11 +48,7 @@ __all__ = [
     "HeckeElement",
     "PPB",
     "NPB",
-    "unit",
-    "basis_element",
-    "mul_generator",
     "expand_word",
-    "multiply",
     "convert",
     "top_coeff",
     "render_element",
@@ -103,27 +98,6 @@ class HeckeElement:
             and self.basis == other.basis
             and self.coeffs == other.coeffs
         )
-
-    def scaled(self, factor: LaurentZ) -> HeckeElement:
-        return HeckeElement(
-            self.strands, self.basis, {w: c * factor for w, c in self.coeffs.items()}
-        )
-
-    def __add__(self, other: HeckeElement) -> HeckeElement:
-        if self.strands != other.strands or self.basis != other.basis:
-            raise ValueError("can only add elements of the same algebra and basis")
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, LaurentZ.zero()) + c
-        return HeckeElement(self.strands, self.basis, out)
-
-
-def unit(n: int, basis: str = PPB) -> HeckeElement:
-    return HeckeElement(n, basis, {identity_perm(n): LaurentZ.one()})
-
-
-def basis_element(n: int, w: Perm, basis: str = PPB) -> HeckeElement:
-    return HeckeElement(n, basis, {tuple(w): LaurentZ.one()})
 
 
 def _map_of(x: HeckeElement) -> _Map:
@@ -190,39 +164,12 @@ def _step(m: _Map, i: int, positive: bool) -> _Map:
     return out
 
 
-def mul_generator(x: HeckeElement, i: int, positive: bool = True) -> HeckeElement:
-    """Right-multiply a PPB element by sigma_i (or its inverse)."""
-    if x.basis != PPB:
-        raise ValueError("mul_generator acts on PPB elements")
-    if not 1 <= i <= x.strands - 1:
-        raise ValueError(f"generator index {i} out of range for {x.strands} strands")
-    return _element(x.strands, PPB, _step(_map_of(x), i, positive))
-
-
 def expand_word(word: BraidWord) -> HeckeElement:
     """The image of a braid word in H_n, expanded in the PPB basis."""
     m: _Map = {identity_perm(word.strands): {0: 1}}
     for g in word.letters:
         m = _step(m, abs(g), g > 0)
     return _element(word.strands, PPB, m)
-
-
-def multiply(x: HeckeElement, y: HeckeElement) -> HeckeElement:
-    """Bilinear product of two PPB elements."""
-    if x.basis != PPB or y.basis != PPB:
-        raise ValueError("multiply acts on PPB elements")
-    if x.strands != y.strands:
-        raise ValueError("strand counts differ")
-    left = _map_of(x)
-    out: _Map = {}
-    for w, c in y.coeffs.items():
-        t = left
-        for g in reduced_word(w).letters:
-            t = _step(t, g, True)
-        c = c.terms
-        for u, d in t.items():
-            _add_product(out.setdefault(u, {}), d, c)
-    return _element(x.strands, PPB, out)
 
 
 def _npb_sum(m: _Map) -> _Map:

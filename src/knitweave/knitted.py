@@ -107,18 +107,6 @@ class KnittedTemplate:
             raise ValueError("a template needs at least one box")
         if any(n < 1 for n in self.boxes):
             raise ValueError("every box needs at least one strand")
-        # checked first, so a huge strand count costs nothing to reject
-        if len(self.wiring) != sum(self.boxes):
-            raise ValueError("wiring must use every box output exactly once")
-        outs = [src for src, _ in self.wiring]
-        ins = [dst for _, dst in self.wiring]
-        expected = {
-            (b, p) for b, n in enumerate(self.boxes) for p in range(n)
-        }
-        if len(set(outs)) != len(outs) or set(outs) != expected:
-            raise ValueError("wiring must use every box output exactly once")
-        if len(set(ins)) != len(ins) or set(ins) != expected:
-            raise ValueError("wiring must use every box input exactly once")
         report = validate(self.boxes, self.wiring)
         if not report.ok:
             raise TemplateError(report)
@@ -194,10 +182,30 @@ def _ribbon_planar(
     return _genus_zero([range(a, b) for a, b in zip(start, start[1:])], partner)
 
 
+def _matching_failures(
+    boxes: Sequence[int], wiring: Sequence[tuple[Endpoint, Endpoint]]
+) -> Iterator[str]:
+    """The failure of the first condition, if any: the wiring is not a perfect
+    matching of the box outputs to the box inputs.
+
+    The count is checked first, so a box of a huge strand count is refused
+    without listing its endpoints.
+    """
+    if len(wiring) != sum(boxes):
+        yield "wiring must use every box output exactly once"
+        return
+    # with the count right, a wiring that reaches every endpoint reaches each once
+    expected = {(b, p) for b, n in enumerate(boxes) for p in range(n)}
+    if {src for src, _ in wiring} != expected:
+        yield "wiring must use every box output exactly once"
+    elif {dst for _, dst in wiring} != expected:
+        yield "wiring must use every box input exactly once"
+
+
 def _failures(
     boxes: Sequence[int], wiring: Sequence[tuple[Endpoint, Endpoint]]
 ) -> Iterator[str]:
-    """Each failed template condition, lazily and cheapest check first.
+    """Each failed condition after the matching, lazily and cheapest first.
 
     ``wiring`` must be a bijection from the box outputs to the box inputs, in
     any order. Almost every random wiring already fails a circle check, so the
@@ -229,10 +237,12 @@ def validate(
 ) -> ValidationReport:
     """Check all template conditions; failures are data, not exceptions.
 
-    ``wiring`` must be a bijection from the box outputs to the box inputs;
-    ``KnittedTemplate`` checks that first and then calls this.
+    ``boxes`` holds positive strand counts and ``wiring`` any sequence of
+    (output, input) endpoint pairs. A wiring that is not a perfect matching
+    is reported as that one failure, and the other conditions, which are
+    defined on matchings only, are not checked.
     """
-    failures = tuple(_failures(boxes, wiring))
+    failures = tuple(_matching_failures(boxes, wiring)) or tuple(_failures(boxes, wiring))
     return ValidationReport(not failures, failures)
 
 

@@ -75,10 +75,6 @@ class LaurentZ:
         """Multiply by ``z^k``."""
         return LaurentZ({e + k: c for e, c in self._terms.items()})
 
-    def as_vz(self, v_power: int = 0) -> LaurentVZ:
-        """Embed into Z[v, v^-1, z, z^-1], optionally times ``v^v_power``."""
-        return LaurentVZ({(v_power, e): c for e, c in self._terms.items()})
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -147,16 +143,6 @@ class LaurentVZ:
     def coeff_of_v(self, k: int) -> LaurentZ:
         """The polynomial in ``z`` multiplying ``v^k``; zero if absent."""
         return LaurentZ({z: c for (v, z), c in self._terms.items() if v == k})
-
-    def v_min(self) -> int:
-        if not self._terms:
-            raise ValueError("v-degree of the zero polynomial is undefined")
-        return min(v for v, _ in self._terms)
-
-    def v_max(self) -> int:
-        if not self._terms:
-            raise ValueError("v-degree of the zero polynomial is undefined")
-        return max(v for v, _ in self._terms)
 
     def v_exponents(self) -> set[int]:
         return {v for v, _ in self._terms}

@@ -49,22 +49,16 @@ from knitweave.diagram import (
     seifert_graph,
     writhe,
 )
-from knitweave.laurent import LaurentVZ, LaurentZ, delta_pow
+from knitweave.laurent import LaurentVZ, delta_pow
 
 __all__ = [
     "homfly_framed",
     "homfly_unframed",
-    "extreme_coeffs",
     "mfw_check",
     "mp_vanishing",
-    "clear_memo",
 ]
 
 _MEMO: dict[tuple, LaurentVZ] = {}
-
-
-def clear_memo() -> None:
-    _MEMO.clear()
 
 
 def _first_violation(crossings: tuple[RawCrossing, ...]) -> tuple[int | None, int]:
@@ -201,11 +195,6 @@ def homfly_framed(d: PlanarDiagram) -> LaurentVZ:
 def homfly_unframed(d: PlanarDiagram) -> LaurentVZ:
     """P(d) = v^writhe * H(d), invariant under all Reidemeister moves."""
     return LaurentVZ.monomial(writhe(d), 0) * homfly_framed(d)
-
-
-def extreme_coeffs(h: LaurentVZ, s: int) -> tuple[LaurentZ, LaurentZ]:
-    """(H-, H+): the coefficients of v^(-s+1) and v^(s-1). Either may be zero."""
-    return h.coeff_of_v(-s + 1), h.coeff_of_v(s - 1)
 
 
 def mfw_check(h: LaurentVZ, s: int) -> bool:

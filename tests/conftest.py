@@ -14,7 +14,7 @@ from __future__ import annotations
 import sys
 
 from knitweave import skein
-from knitweave.diagram import PlanarDiagram, canonical_key, component_count, seifert_circles
+from knitweave.diagram import PlanarDiagram, canonical_raw, component_count, seifert_circles
 from knitweave.laurent import LaurentVZ
 from knitweave.skein import mfw_check, mp_vanishing
 
@@ -42,7 +42,7 @@ def _audit(d: PlanarDiagram, h: LaurentVZ) -> None:
     if minus_zero:
         assert not h.coeff_of_v(-s + 1), f"forced H- = 0 violated: H={h}"
     if len(d.crossings) <= _SMALL_LIMIT and len(small_diagrams) < _SMALL_CAP:
-        small_diagrams.setdefault(canonical_key(d), d)
+        small_diagrams.setdefault(canonical_raw(*d.raw()), d)
 
 
 _real_homfly_framed = skein.homfly_framed

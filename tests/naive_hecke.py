@@ -4,7 +4,8 @@ This is the straightforward form of ``knitweave.hecke``: every generator
 letter builds a new ``HeckeElement`` of ``LaurentZ`` coefficients, U_w is the
 image of the sign-negated lexicographically smallest reduced word of w, and
 PPB -> NPB peels the longest support element, found by a ``max`` over the
-whole support, one at a time. Tests compare the package against it.
+whole support, one at a time. Tests compare the package against it, and
+build their elements with ``unit``, ``basis_element`` and ``combine``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,36 @@ from knitweave.hecke import NPB, PPB, HeckeElement
 from knitweave.laurent import LaurentZ
 
 _Z = LaurentZ.term(1)
+
+
+def perm_of_word(word: BraidWord) -> Perm:
+    """Underlying permutation; crossing signs are ignored.
+
+    Each letter i swaps the values i, i+1 (s_i o w), starting from the identity.
+    """
+    w = identity_perm(word.strands)
+    for g in word.letters:
+        w = _swap_values(w, abs(g))
+    return w
+
+
+def unit(n: int, basis: str = PPB) -> HeckeElement:
+    return HeckeElement(n, basis, {identity_perm(n): LaurentZ.one()})
+
+
+def basis_element(n: int, w: Perm, basis: str = PPB) -> HeckeElement:
+    return HeckeElement(n, basis, {tuple(w): LaurentZ.one()})
+
+
+def combine(n: int, terms) -> HeckeElement:
+    """The PPB element sum of coeff * x over the (coeff, x) pairs of ``terms``."""
+    out: dict[Perm, LaurentZ] = {}
+    for coeff, x in terms:
+        if x.strands != n or x.basis != PPB:
+            raise ValueError("can only combine PPB elements of H_n")
+        for w, c in x.coeffs.items():
+            out[w] = out.get(w, LaurentZ.zero()) + c * coeff
+    return HeckeElement(n, PPB, out)
 
 
 def _swap_values(w: Perm, i: int) -> Perm:
@@ -44,13 +75,15 @@ def expand_word(word: BraidWord) -> HeckeElement:
 
 
 def multiply(x: HeckeElement, y: HeckeElement) -> HeckeElement:
-    total = HeckeElement(x.strands, PPB, {})
+    if x.strands != y.strands:
+        raise ValueError("strand counts differ")
+    terms = []
     for w, c in sorted(y.coeffs.items()):
         t = x
         for g in reduced_word(w).letters:
             t = mul_generator(t, g, True)
-        total = total + t.scaled(c)
-    return total
+        terms.append((c, t))
+    return combine(x.strands, terms)
 
 
 def npb_in_ppb(w: Perm) -> HeckeElement:
@@ -62,10 +95,7 @@ def convert(x: HeckeElement, target: str) -> HeckeElement:
     if x.basis == target:
         return x
     if target == PPB:
-        total = HeckeElement(x.strands, PPB, {})
-        for w, c in sorted(x.coeffs.items()):
-            total = total + npb_in_ppb(w).scaled(c)
-        return total
+        return combine(x.strands, [(c, npb_in_ppb(w)) for w, c in sorted(x.coeffs.items())])
     work = dict(x.coeffs)
     out: dict[Perm, LaurentZ] = {}
     while True:

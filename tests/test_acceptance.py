@@ -10,12 +10,13 @@ import time
 from random import Random
 
 import conftest
+from naive_hecke import combine
 from naive_skein import naive_homfly_framed
 
 from knitweave.braid import BraidWord
 from knitweave.cli import main, render_table
 from knitweave.gallery import showcase_knot, write_showcase_json
-from knitweave.hecke import NPB, HeckeElement, PPB, convert, expand_word, top_coeff
+from knitweave.hecke import NPB, convert, expand_word, top_coeff
 from knitweave.knitted import (
     braid_closure_knitted,
     compile_diagram,
@@ -168,7 +169,7 @@ def test_criterion_5_top_coefficient_across_bases():
     checked = 0
     for n in (3, 4):
         for _ in range(500):
-            x = HeckeElement(n, PPB, {})
+            terms = []
             for _ in range(rng.randint(1, 3)):
                 letters = tuple(
                     rng.choice((1, -1)) * rng.randint(1, n - 1)
@@ -180,7 +181,8 @@ def test_criterion_5_top_coefficient_across_bases():
                         for _ in range(rng.randint(1, 3))
                     }
                 )
-                x = x + expand_word(BraidWord(n, letters)).scaled(coeff)
+                terms.append((coeff, expand_word(BraidWord(n, letters))))
+            x = combine(n, terms)
             assert top_coeff(x) == top_coeff(convert(x, NPB))
             checked += 1
     _report(5, checked == 1000, f"{checked} random Hecke elements: PPB and NPB top coefficients agree")

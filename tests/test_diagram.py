@@ -3,16 +3,16 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from naive_hecke import perm_of_word
 
-from knitweave.braid import BraidWord, perm_of_word, writhe_word
+from knitweave.braid import BraidWord
 from knitweave.diagram import (
     Crossing,
     PDParseError,
     PlanarDiagram,
     braid_closure,
-    canonical_key,
+    canonical_raw,
     component_count,
-    format_pd,
     parse_pd,
     planarity_check,
     seifert_circles,
@@ -78,7 +78,7 @@ def test_seifert_circle_count_is_strand_count():
         w = _random_word(rng, n)
         d = braid_closure(w)
         assert seifert_circles(d)[0] == n
-        assert writhe(d) == writhe_word(w)
+        assert writhe(d) == sum(1 if g > 0 else -1 for g in w.letters)
 
 
 def test_seifert_assignment_partitions_arcs():
@@ -202,13 +202,22 @@ def test_canonical_key_is_relabeling_invariant():
             ],
             d.free_loops,
         )
-        assert canonical_key(moved) == canonical_key(d)
+        assert canonical_raw(*moved.raw()) == canonical_raw(*d.raw())
 
 
 def test_canonical_key_separates_mirror_diagrams():
     a = braid_closure(BraidWord(2, (1, 1, 1)))
     b = braid_closure(BraidWord(2, (-1, -1, -1)))
-    assert canonical_key(a) != canonical_key(b)
+    assert canonical_raw(*a.raw()) != canonical_raw(*b.raw())
+
+
+def format_pd(d: PlanarDiagram) -> str:
+    """PD text that ``parse_pd`` reads back as ``d``."""
+    parts = [
+        f"X[{c.under_in},{c.over_in},{c.under_out},{c.over_out};{'+' if c.sign > 0 else '-'}]"
+        for c in d.crossings
+    ]
+    return " ".join(parts + ["O"] * d.free_loops)
 
 
 def test_pd_text_round_trip():

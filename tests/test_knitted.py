@@ -13,11 +13,11 @@ from knitweave import knitted
 from knitweave.braid import BraidWord, full_twist_word
 from knitweave.diagram import (
     braid_closure,
-    canonical_key,
+    canonical_raw,
     component_count,
     planarity_check,
 )
-from knitweave.gallery import showcase_graph, showcase_knot
+from knitweave.gallery import showcase_knot
 from knitweave.knitted import (
     KnittedDiagram,
     KnittedTemplate,
@@ -44,6 +44,17 @@ from knitweave.skein import homfly_framed
 # the 2-strand closure with its strands crossed over: one circle through the
 # box twice, and not planar around it
 CROSSED = (((0, 0), (0, 1)), ((0, 1), (0, 0)))
+
+
+def showcase_graph() -> PlaneBipartiteGraph:
+    """A plane simple bipartite graph on 6 vertices and 7 edges.
+
+    Reversing Seifert's algorithm on it yields a 7-box knitted template with
+    one Seifert circle per vertex.
+    """
+    edges = ((0, 1), (0, 3), (1, 2), (2, 3), (2, 4), (3, 5), (4, 5))
+    rotations = ((0, 1), (2, 0), (4, 3, 2), (5, 1, 3), (6, 4), (5, 6))
+    return PlaneBipartiteGraph(6, edges, rotations)
 
 
 def test_braid_closure_template_is_valid():
@@ -116,10 +127,19 @@ def test_a_template_needs_a_box():
 
 
 def test_wiring_must_be_a_perfect_matching():
-    with pytest.raises(ValueError):
-        KnittedTemplate((2,), (((0, 0), (0, 0)), ((0, 0), (0, 1))))
-    with pytest.raises(ValueError):
-        KnittedTemplate((2,), (((0, 0), (0, 0)),))
+    # validate reports the matching alone: the later conditions are defined
+    # on matchings only
+    cases = (
+        ((((0, 0), (0, 0)), ((0, 0), (0, 1))), "output"),
+        ((((0, 0), (0, 0)),), "output"),
+        ((((0, 0), (0, 1)), ((0, 1), (0, 1))), "input"),
+    )
+    for wiring, side in cases:
+        failure = f"wiring must use every box {side} exactly once"
+        report = validate((2,), wiring)
+        assert not report.ok and report.failures == (failure,)
+        with pytest.raises(TemplateError, match=failure):
+            KnittedTemplate((2,), wiring)
 
 
 def test_seifert_count_examples():
@@ -145,7 +165,7 @@ def test_compile_matches_braid_closure():
     for letters, n in (((), 3), ((1,), 2), ((1, -2, 1), 3), ((1, 1, 1), 2)):
         w = BraidWord(n, letters)
         compiled = compile_diagram(braid_closure_knitted(w))
-        assert canonical_key(compiled) == canonical_key(braid_closure(w))
+        assert canonical_raw(*compiled.raw()) == canonical_raw(*braid_closure(w).raw())
 
 
 def test_compile_with_empty_words_gives_free_loops():
@@ -457,7 +477,9 @@ def test_json_rejects_huge_strand_counts_at_once():
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=60,
     )
-    assert proc.stdout.strip() == "wiring must use every box output exactly once", proc.stderr
+    assert proc.stdout.strip() == (
+        "invalid knitted template: wiring must use every box output exactly once"
+    ), proc.stderr
 
 
 def test_random_template_respects_bounds_and_validates():

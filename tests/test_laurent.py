@@ -148,14 +148,6 @@ def test_json_rejects_malformed_terms():
     )
 
 
-def test_v_degree_undefined_only_on_zero():
-    with pytest.raises(ValueError):
-        LaurentVZ.zero().v_min()
-    p = LaurentVZ({(-3, 0): 1, (5, 2): 2})
-    assert (p.v_min(), p.v_max()) == (-3, 5)
-
-
 def test_laurent_z_shift_and_embed():
     p = LaurentZ({0: 2, 2: 1})
     assert p.shifted(-6).terms == {-6: 2, -4: 1}
-    assert p.as_vz(3).terms == {(3, 0): 2, (3, 2): 1}

@@ -17,9 +17,8 @@ from knitweave.diagram import (
     writhe,
 )
 from knitweave.knitted import compile_diagram, eval_hecke, random_knitted, verify_theorem
-from knitweave.laurent import LaurentVZ, LaurentZ, delta_pow
+from knitweave.laurent import LaurentVZ, delta_pow
 from knitweave.skein import (
-    extreme_coeffs,
     homfly_framed,
     homfly_unframed,
     mfw_check,
@@ -83,18 +82,6 @@ def test_homfly_result_invariants():
     framed = homfly_framed(d)
     assert homfly_unframed(d) == LaurentVZ.monomial(writhe(d), 0) * framed
     assert mfw_check(framed, seifert_circles(d)[0])
-
-
-def test_extreme_coeffs_examples():
-    assert extreme_coeffs(delta_pow(1), 2) == (LaurentZ.term(-1), LaurentZ.term(-1, -1))
-    assert extreme_coeffs(TREFOIL_H, 2) == (
-        LaurentZ({0: 2, 2: 1}),
-        LaurentZ({0: -1}),
-    )
-    assert extreme_coeffs(LaurentVZ.monomial(-1, 0), 2) == (
-        LaurentZ.one(),
-        LaurentZ.zero(),
-    )
 
 
 def test_mfw_check_examples():
@@ -263,7 +250,7 @@ def test_kinks_and_stabilisations_change_only_the_framing(closure, seed, stabili
 def test_cascading_kinks_reduce_to_a_free_loop_at_the_root():
     # sigma_1 ... sigma_4 closes to an unknot in four kinks: removing the
     # last exposes the one before it
-    skein.clear_memo()
+    skein._MEMO.clear()
     d = braid_closure(BraidWord(5, (1, 2, 3, 4)))
     assert homfly_framed(d) == LaurentVZ.monomial(-4, 0)
     assert not skein._MEMO
@@ -273,7 +260,7 @@ def test_cascading_kinks_reduce_to_a_free_loop_at_the_root():
 
 
 def test_memo_holds_no_kinks():
-    skein.clear_memo()
+    skein._MEMO.clear()
     rng = Random(2024)
     kinked_roots = 0
     for _ in range(40):

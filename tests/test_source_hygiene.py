@@ -1,15 +1,18 @@
-"""Static checks on the package source: no unused import, no dead private def.
+"""Static checks on the package source: no unused import, no dead definition.
 
-Both read the modules with ``ast`` only, so they run wherever the suite does.
+They read the modules with ``ast`` only, so they run wherever the suite does.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import knitweave
 
 SRC = Path(knitweave.__file__).resolve().parent
 TREES = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+README = Path(__file__).resolve().parents[1] / "README.md"
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -56,6 +59,28 @@ def test_every_imported_name_is_used_or_exported():
     assert unused == []
 
 
+def _attributes() -> set[str]:
+    return {node.attr for tree in TREES.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def _unread(defs, known: set[str]) -> list[str]:
+    """Each ``(module, def)`` pair whose name is not in ``known`` and is read
+    by name nowhere in the package outside the def itself."""
+    return [
+        f"{name}: {node.name}"
+        for name, node in defs
+        if node.name not in known
+        and not any(node.name in _names(other, skip=node) for other in TREES.values())
+    ]
+
+
+def _module_level_defs():
+    for name, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, DEFS):
+                yield name, node
+
+
 def test_every_private_module_level_def_is_referenced():
     # a private def may be read by name, as a module attribute, or by a
     # ``from`` import, which the test above holds to a use of its own
@@ -66,18 +91,19 @@ def test_every_private_module_level_def_is_referenced():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    attributes = {
-        node.attr for tree in TREES.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-    }
-    dead = []
-    for name, tree in TREES.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if not node.name.startswith("_") or node.name.startswith("__"):
-                continue
-            if node.name in imported | attributes:
-                continue
-            if not any(node.name in _names(other, skip=node) for other in TREES.values()):
-                dead.append(f"{name}: {node.name}")
-    assert dead == []
+    private = [
+        (name, node)
+        for name, node in _module_level_defs()
+        if node.name.startswith("_") and not node.name.startswith("__")
+    ]
+    assert _unread(private, imported | _attributes()) == []
+
+
+def test_every_public_module_level_def_is_read_in_the_package():
+    # tests are no caller: a public function or class that only they use is
+    # dead code, unless the package exports it or the README documents it.
+    # Methods are left out, since their names collide across classes.
+    documented = set(re.findall(r"\w+", README.read_text()))
+    public = [(name, node) for name, node in _module_level_defs() if not node.name.startswith("_")]
+    known = _exported(TREES["__init__.py"]) | documented | _attributes()
+    assert _unread(public, known) == []
