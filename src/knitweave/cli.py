@@ -9,11 +9,11 @@ grid).
 Exit codes: 0 on success, 1 on verification failure, 2 on input that cannot
 be parsed or evaluated (including input deep enough to exhaust Python's
 recursion limit, ``--strands``, ``--max-strands`` or a knitted box above
-``MAX_STRANDS``, ``--max-word-length`` above ``MAX_WORD_LENGTH``, a Hecke
-expansion of more than ``hecke.MAX_TERMS`` terms, template sampling that
-finds no valid template, and a table of more than ``MAX_TABLE_CELLS``
-cells). Argparse exits 2 as well when the input flags name no input or more
-than one.
+``MAX_STRANDS``, ``--max-boxes`` above ``MAX_BOXES``, ``--max-word-length``
+above ``MAX_WORD_LENGTH``, a Hecke expansion of more than
+``hecke.MAX_TERMS`` terms, template sampling that finds no valid template,
+and a table of more than ``MAX_TABLE_CELLS`` cells). Argparse exits 2 as
+well when the input flags name no input or more than one.
 """
 
 from __future__ import annotations
@@ -58,6 +58,14 @@ EXIT_BAD_INPUT = 2
 # (--braid 1 on 5000 strands took 12 s, random-test --max-strands 200 ran for
 # minutes), so the flag is checked before anything is built.
 MAX_STRANDS = 32
+
+# The largest random-test --max-boxes accepted: enough for the 20-box
+# templates the campaign aims at, with room above. A sample draws a box
+# profile of up to --max-boxes boxes, held in memory, and every wiring it
+# tries grows with it, so the flag is checked before anything is built. On a
+# 2-core x86 host one sample took 0.8 to 7.6 s at 64 boxes (seeds 1-3) and
+# 7.1 s at 200 (seed 0).
+MAX_BOXES = 64
 
 # The longest random-test --max-word-length accepted. Every box word of a
 # campaign sample is drawn letter by letter and its closure is evaluated by
@@ -351,6 +359,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         for flag, value, most in (
             ("--strands", getattr(args, "strands", None), MAX_STRANDS),
             ("--max-strands", getattr(args, "max_strands", None), MAX_STRANDS),
+            ("--max-boxes", getattr(args, "max_boxes", None), MAX_BOXES),
             ("--max-word-length", getattr(args, "max_word_length", None), MAX_WORD_LENGTH),
         ):
             if value is not None and value > most:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from knitweave.braid import BraidWord
 
@@ -292,95 +292,102 @@ def _split_components(
     return [tuple(g) for g in groups.values()]
 
 
-def _encode_from(
-    crossings: Sequence[RawCrossing],
-    consumer: Mapping[int, tuple[int, bool]],
-    start: int,
-) -> tuple[tuple, list[int]]:
-    """Structural encoding of the connected piece walked from a given arc.
+def _arc_table(crossings: Sequence[RawCrossing]) -> dict[int, tuple[int, int, int, int]]:
+    """In-arc -> (crossing index, new-crossing token, next arc, other in-arc)."""
+    table = {}
+    for idx, (s, ui, oi, uo, oo) in enumerate(crossings):
+        table[ui] = (idx, 2 * s, uo, oi)
+        table[oi] = (idx, 2 * s + 1, oo, ui)
+    return table
 
-    ``consumer`` maps each arc to (crossing index, consumed by under_in); it
-    may cover other pieces too, which the walk never reaches. Arcs are
-    relabeled 0, 1, ... in discovery order along the oriented walk, so
-    ``start`` gets label 0 and the encoding opens with the tuple of its
-    consumer. When a link-component walk closes, the next start is the first
-    unlabeled arc in crossing-encounter order, scanning ports in the fixed
-    role order. Returns the encoding, which determines the piece up to arc
-    relabeling, and the indices of the piece's crossings in encounter order.
+
+def _walk(
+    table: Mapping[int, tuple[int, int, int, int]], start: int, order: list[int]
+) -> Iterator[int]:
+    """Token stream of the connected piece walked from in-arc ``start``.
+
+    ``table`` maps each in-arc to (crossing, new-crossing token, next arc,
+    other in-arc); it may cover other pieces too, which the walk never
+    reaches. The walk follows orientation and yields one token per step:
+    ``2*sign`` on meeting a crossing first by its under_in and ``2*sign+1``
+    by its over_in, ``4 + rank`` on meeting it the second time, where rank is
+    its place in first-meeting order, and -3, the least token, on closing a
+    link component. It then restarts at the other in-arc of the first crossing
+    in meeting order that was met only once, and ends when there is none.
+    No token names an arc, so the stream fixes the piece up to relabelling.
+    The crossings met are appended to ``order`` in first-meeting order.
     """
-    label: dict[int, int] = {}
-    order: list[int] = []  # crossing indices in first-encounter order
-    cursor = 0  # crossings of order before this one have every arc labelled
-    a = start
-    n = 0
+    # the unwalked in-arc of each crossing met once -> its second-meeting
+    # token, in first-meeting order
+    once: dict[int, int] = {}
+    rank = 4  # the second-meeting token of the next new crossing
+    base = a = start
     while True:
-        label[a] = n
-        n += 1
-        idx, under = consumer[a]
-        c = crossings[idx]
-        # a crossing is met first on whichever in-arc is labelled first
-        if (c[2] if under else c[1]) not in label:
-            order.append(idx)
-        a = c[3] if under else c[4]
-        if a in label:
-            # The walk closed. Every labelled arc is an in-arc of a crossing
-            # of order, so n == 2 * len(order) iff each of those crossings has
-            # both in-arcs labelled. A walk always goes on from an in-arc to
-            # its out-arc, so their 2 * len(order) out-arcs are labelled too:
-            # they are the n labelled arcs, and no arc leads to a crossing
-            # outside order. The piece is complete.
-            if n == 2 * len(order):
-                break
-            # Otherwise restart from the first unlabeled arc in structural
-            # order. Labels are never removed, so the scan resumes at cursor.
-            while all(x in label for x in crossings[order[cursor]][1:]):
-                cursor += 1
-            a = next(x for x in crossings[order[cursor]][1:] if x not in label)
-    body = []
-    for idx in order:
-        s, ui, oi, uo, oo = crossings[idx]
-        body.append((s, label[ui], label[oi], label[uo], label[oo]))
-    return tuple(body), order
+        c, new, nxt, other = table[a]
+        token = once.pop(a, None)
+        if token is None:
+            once[other] = rank
+            rank += 1
+            order.append(c)
+            yield new
+        else:
+            yield token
+        a = nxt
+        if a == base:
+            yield -3
+            # every crossing met twice has both out-arcs walked, so with none
+            # met once the walk reaches nothing more: the piece is complete
+            if not once:
+                return
+            base = a = next(iter(once))
 
 
 def canonical_raw(
     crossings: Sequence[RawCrossing], free_loops: int
 ) -> tuple:
-    """Canonical form: sorted per-piece minimal encodings plus loop count.
+    """Canonical form: sorted per-piece least token streams plus loop count.
 
-    Each connected piece's minimal encoding over all its start arcs is found
-    by walking only from the under_in of each crossing of the piece's
-    smallest sign; the first of those walks also finds the piece.
+    Each connected piece is keyed by the least of the streams ``_walk`` yields
+    from its arcs. A stream opens with ``2*sign`` for a start at an under_in
+    and ``2*sign+1`` at an over_in, so the least is reached only from the
+    under_in of a crossing of the piece's smallest sign, and only those are
+    walked. The first such walk runs to the end and finds the piece. The
+    others then race it in lockstep, one token at a time: a walk drops out at
+    its first token above the least at that position, and one that goes below
+    takes the lead. Every stream of a piece has one token per arc and per
+    link component, so the race ends with the piece's stream.
     ``len(key[0])`` is the number of pieces.
     """
-    consumer: dict[int, tuple[int, bool]] = {}
-    for idx, (_, ui, oi, _uo, _oo) in enumerate(crossings):
-        consumer[ui] = (idx, True)
-        consumer[oi] = (idx, False)
-    # The start arc gets label 0 and the encoding opens with the tuple of its
-    # consumer, (sign, label[ui], label[oi], ...). A start at an under_in
-    # gives (s, 0, ...); a start at an over_in gives (s, >=1, 0, ...) because
-    # ui != oi. Tuples compare by sign first, so a piece's minimum over all
-    # arcs is always reached from the under_in of a crossing of its smallest
-    # sign.
+    table = _arc_table(crossings)
     covered = [False] * len(crossings)
-    encodings = []
-    for idx in sorted(range(len(crossings)), key=lambda i: crossings[i][0]):
-        if covered[idx]:
-            continue
-        # Each walk covers its whole piece, so idx is the first crossing of
-        # its piece in sign order: an earlier one would have been walked or
-        # covered, and either way idx would be covered now. Smaller signs
-        # come earlier, so idx has its piece's smallest sign, and the walk
-        # from its under_in is one of the piece's candidate walks.
-        low = crossings[idx][0]
-        best, piece = _encode_from(crossings, consumer, crossings[idx][1])
-        for j in piece:
-            covered[j] = True
-            if j != idx and crossings[j][0] == low:
-                best = min(best, _encode_from(crossings, consumer, crossings[j][1])[0])
-        encodings.append(best)
-    return (tuple(sorted(encodings)), free_loops)
+    streams = []
+    for low in (-1, 1):
+        for idx, c in enumerate(crossings):
+            if c[0] != low or covered[idx]:
+                continue
+            # Each first walk covers its whole piece, so idx is the first
+            # crossing of its piece in sign order: an earlier one would have
+            # been walked or covered, and either way idx would be covered now.
+            # Negative crossings come first, so idx has its piece's smallest
+            # sign, and the walk from its under_in is a candidate walk.
+            piece: list[int] = []
+            first = list(_walk(table, c[1], piece))
+            live: list[Iterator[int]] = [iter(first)]
+            for j in piece:
+                covered[j] = True
+                if j != idx and crossings[j][0] == low:
+                    live.append(_walk(table, crossings[j][1], []))
+            stream: list[int] = []
+            # bounded by the length, since next() on a spent walk would end map()
+            while len(live) > 1 and len(stream) < len(first):
+                tokens = list(map(next, live))
+                least = min(tokens)
+                stream.append(least)
+                if tokens.count(least) < len(tokens):
+                    live = [w for w, t in zip(live, tokens) if t == least]
+            stream.extend(live[0])
+            streams.append(tuple(stream))
+    return (tuple(sorted(streams)), free_loops)
 
 
 class PDParseError(ValueError):

@@ -14,12 +14,17 @@ through the skein relation: the switched diagram is the main branch and the
 oriented smoothing carries the z weight.
 
 Values are memoized on ``diagram.canonical_raw``: per connected piece, the
-least of its encodings walked from each start arc, computed from the
-under_in of each crossing of the piece's smallest sign only (no other start
-can give the least encoding). Those walks also find the pieces. The key
-holds one encoding per piece, so only a node whose key has several pieces or
-free loops is split again, keeping its arc labels; split diagrams factor as
-the product of their pieces times delta^(pieces-1).
+least of the token streams walked from each start arc. A walk emits one
+small integer per step: a crossing's sign and entering strand when it is
+met first, its rank in meeting order when it is met again, and -3 when a
+link component closes. No token names an arc, so the stream fixes the
+piece up to relabelling. Only the under_ins of the crossings of the piece's
+smallest sign can start the least stream; the first of those walks runs to
+the end and finds the piece, and the others race it in lockstep, each
+dropped at its first token above the least at that position. The key holds
+one stream per piece, so only a node whose key has several pieces or free
+loops is split again, keeping its arc labels; split diagrams factor as the
+product of their pieces times delta^(pieces-1).
 
 The memo holds kink-free diagrams only. A kink (an R1 curl) is a crossing
 with under_out == over_in or over_out == under_in. One routine, ``_remove``,

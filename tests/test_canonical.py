@@ -1,14 +1,14 @@
-"""The canonical memo key against a brute-force oracle, and its walk count."""
+"""The canonical memo key against a brute-force oracle, its inverse, and its walk count."""
 
 from contextlib import contextmanager
 from random import Random
 
-from canonical_oracle import brute_force_canonical
+from canonical_oracle import brute_force_canonical, decode_piece
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knitweave import diagram
-from knitweave.braid import BraidWord
+from knitweave.braid import BraidWord, full_twist_word
 from knitweave.diagram import _split_components, braid_closure, canonical_raw
 
 
@@ -76,21 +76,37 @@ _INTERLEAVED = tuple(
 )
 
 
+# the lockstep race of candidate walks: a 12-way tie to the end (T(2,12));
+# sigma1^-4 sigma1^8, whose four negative starts race; FT_4; two equal
+# pieces; and the closure of sigma2^-2 sigma1 on 3 strands, whose least
+# stream closes a component (-3) where the first walk meets a crossing
+_RACES = tuple(
+    braid_closure(BraidWord(n, w)).raw()[0]
+    for n, w in (
+        (2, (1,) * 12),
+        (2, (-1,) * 4 + (1,) * 8),
+        (4, full_twist_word(4).letters),
+        (3, (-2, -2, 1)),
+    )
+)
+_TWINS = _disjoint_union([braid_closure(BraidWord(3, (1, -2, 1, -2))).raw()[0]] * 2)
+
+
 @contextmanager
 def counted_walks():
-    """Collect the start arc of every ``_encode_from`` walk."""
-    real = diagram._encode_from
+    """Collect the start arc of every ``_walk``."""
+    real = diagram._walk
     starts = []
 
-    def counting(crossings, consumer, start):
+    def counting(table, start, order):
         starts.append(start)
-        return real(crossings, consumer, start)
+        return real(table, start, order)
 
-    diagram._encode_from = counting
+    diagram._walk = counting
     try:
         yield starts
     finally:
-        diagram._encode_from = real
+        diagram._walk = real
 
 
 @settings(max_examples=300, deadline=None)
@@ -99,8 +115,22 @@ def counted_walks():
 @example(_KINKS[1], 2)
 @example(_KINKS[2], 1)
 @example(_INTERLEAVED, 0)
+@example(_RACES[0], 0)
+@example(_RACES[1], 0)
+@example(_RACES[2], 0)
+@example(_RACES[3], 0)
+@example(_TWINS, 1)
 def test_canonical_raw_matches_all_arcs_minimum(crossings, free_loops):
     assert canonical_raw(crossings, free_loops) == brute_force_canonical(crossings, free_loops)
+
+
+@settings(max_examples=200, deadline=None)
+@given(diagrams)
+@example(_RACES[3])
+def test_each_stream_decodes_to_a_piece_with_that_stream(crossings):
+    # equal streams therefore mean isomorphic pieces
+    for stream in canonical_raw(crossings, 0)[0]:
+        assert canonical_raw(decode_piece(stream), 0) == ((stream,), 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -138,11 +168,9 @@ def test_one_walk_per_crossing_of_each_pieces_smallest_sign(crossings):
 
 
 def test_keys_of_multi_component_links_are_pinned():
-    # literal keys: a changed walk-restart rule would rename every memo entry
+    # literal keys: a changed token or walk-restart rule would rename every
+    # memo entry
     hopf = braid_closure(BraidWord(2, (1, 1))).raw()[0]
-    assert canonical_raw(hopf, 1) == ((((1, 0, 2, 1, 3), (1, 3, 1, 2, 0)),), 1)
+    assert canonical_raw(hopf, 1) == (((2, 3, -3, 4, 5, -3),), 1)
     chain = braid_closure(BraidWord(3, (1, 1, -2, -2))).raw()[0]
-    assert canonical_raw(chain, 0) == (
-        (((-1, 0, 2, 1, 3), (-1, 5, 1, 2, 0), (1, 3, 6, 4, 7), (1, 7, 4, 6, 5)),),
-        0,
-    )
+    assert canonical_raw(chain, 0) == (((-2, -1, -3, 4, 2, 3, 5, -3, 6, 7, -3),), 0)

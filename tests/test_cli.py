@@ -202,6 +202,23 @@ def test_random_test_rejects_out_of_range_flags(capsys):
     assert rc == 0 and out.strip() == "0/0 pass"
 
 
+def test_boxes_above_the_limit_exit_2_before_any_sample_is_drawn(monkeypatch, capsys):
+    limit = cli.MAX_BOXES
+    assert limit >= 20  # 20-box templates must stay in reach
+
+    def never(*args):
+        raise AssertionError("drew a sample above the box limit")
+
+    monkeypatch.setattr(cli, "random_knitted", never)
+    for value in (limit + 1, 100000000):
+        capsys.readouterr()
+        rc, out = run_cli("random-test", "--count", "1", "--max-boxes", str(value))
+        err = capsys.readouterr().err
+        assert rc == 2 and out == "", value
+        assert err.startswith("error: ") and "--max-boxes" in err and str(limit) in err, value
+        assert "Traceback" not in err
+
+
 def test_template_sampling_exhaustion_exits_2(monkeypatch, capsys):
     # seed 11 exhausts the default tries too, after about 3 s
     monkeypatch.setattr(knitted, "TEMPLATE_TRIES", 5)

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from canonical_oracle import decode_piece
 from naive_skein import naive_homfly_framed
 
 from knitweave import skein
-from knitweave.braid import BraidWord
+from knitweave.braid import BraidWord, full_twist_word
 from knitweave.diagram import (
     Crossing,
     PlanarDiagram,
@@ -16,7 +17,13 @@ from knitweave.diagram import (
     seifert_circles,
     writhe,
 )
-from knitweave.knitted import compile_diagram, eval_hecke, random_knitted, verify_theorem
+from knitweave.knitted import (
+    braid_closure_knitted,
+    compile_diagram,
+    eval_hecke,
+    random_knitted,
+    verify_theorem,
+)
 from knitweave.laurent import LaurentVZ, delta_pow
 from knitweave.skein import (
     homfly_framed,
@@ -274,7 +281,18 @@ def test_memo_holds_no_kinks():
         eval_hecke(random_knitted(rng, 2, 3, 3)[0])
     verify_theorem(random_knitted(Random(7), 2, 3, 3)[0])
     assert kinked_roots >= 10 and len(skein._MEMO) > 100
-    for pieces, _loops in skein._MEMO:
-        for piece in pieces:
-            for t in piece:
-                assert t[3] != t[2] and t[4] != t[1], (pieces, t)
+    for streams, _loops in skein._MEMO:
+        for stream in streams:
+            for t in decode_piece(stream):
+                assert t[3] != t[2] and t[4] != t[1], (stream, t)
+
+
+def test_memo_sizes_are_pinned():
+    # one key per class of pieces up to relabelling: a key that told apart
+    # relabellings of one piece, or merged two pieces, would move these
+    skein._MEMO.clear()
+    homfly_framed(braid_closure(BraidWord(2, (1,) * 40)))
+    assert len(skein._MEMO) == 763
+    skein._MEMO.clear()
+    eval_hecke(braid_closure_knitted(full_twist_word(5)))
+    assert len(skein._MEMO) == 177
