@@ -69,10 +69,10 @@ MAX_BOXES = 64
 
 # The longest random-test --max-word-length accepted. Every box word of a
 # campaign sample is drawn letter by letter and its closure is evaluated by
-# skein recursion, which at about 70 crossings on 2 strands already exceeds
-# Python's recursion limit (a 2-strand campaign at length 100 exits 2 that
-# way in under 2 s); --max-word-length 100000000 was still drawing its first
-# word after 60 s.
+# skein recursion, whose time grows quickly with the crossings: a 2-strand,
+# 3-sample campaign at length 100 passed in 16 s at seed 1 and was still
+# running after 150 s at seed 2 (2-core x86 host); --max-word-length
+# 100000000 was still drawing its first word after 60 s.
 MAX_WORD_LENGTH = 100
 
 # The most cells (rows x columns) render_table lays out. The grid spans every

@@ -5,13 +5,17 @@ The framed polynomial H satisfies H(L+) - H(L-) = z H(L0), picks up v^-1
 ((v^-1 - v)/z)^(k-1) on a crossing-free diagram of k circles. The unframed
 invariant is P = v^w H.
 
-Evaluation walks each link component from a base point (the smallest arc id,
-components ordered likewise). A diagram is descending when every crossing is
-first met on its over-strand; such a diagram is an unlink with framing and
-evaluates to v^-w * delta^(c-1), where the violation walk, having found no
-violation, has walked all c components. The first violation is resolved
-through the skein relation: the switched diagram is the main branch and the
-oriented smoothing carries the z weight.
+Evaluation walks the link components in order of smallest arc id, each from
+the base point that meets the fewest of its own crossings first on their
+under-strand (the last such base from the smallest arc, on ties). A diagram
+is descending when every crossing is first met on its over-strand; such a
+diagram is an unlink with framing and evaluates to v^-w * delta^(c-1),
+where the violation walk, having found no violation, has walked all c
+components. The first violation is resolved through the skein relation: the
+switched diagram is the main branch and the oriented smoothing carries the
+z weight. Switching keeps every strand's arcs, so each switch lowers the
+least violation count by one; on the closure of sigma_1^k the recursion is
+k deep.
 
 Values are memoized on ``diagram.canonical_raw``: per connected piece, the
 least of the token streams walked from each start arc. A walk emits one
@@ -69,10 +73,26 @@ _MEMO: dict[tuple, LaurentVZ] = {}
 def _first_violation(crossings: tuple[RawCrossing, ...]) -> tuple[int | None, int]:
     """First crossing met on its under-strand (or None), and components walked.
 
-    The walk visits link components ordered by smallest arc id, starting at
-    that arc; within a component it follows orientation through crossings.
-    With no violation every component is walked, so the count is the
-    diagram's link component count.
+    Link components are walked in order of smallest arc id, each following
+    orientation through crossings from a base point; a violation is a
+    crossing met first on its under-strand. A crossing met in an earlier
+    component is never a violation, and one shared with a later component
+    is a violation exactly when this component passes under it, whatever
+    the base. A self-crossing with passes at positions p1 < p2 of the walk
+    from the component's smallest arc is met first at p2 by the bases in
+    (p1, p2] and at p1 by the rest, so it is a violation for the bases on
+    one side of that interval, chosen by whether p1 is its under pass. One
+    walk and one difference-array sweep thus count the violations of every
+    base, and the component starts from the last base of least count.
+
+    The recursion ends: the order of the components and the positions of
+    their passes depend only on the arcs each strand runs through, which
+    ``_switch`` keeps, and a switch leaves every other crossing as it was.
+    Switching the returned crossing lowers by one the count of its
+    component's chosen base (of every base, if the crossing is shared), so
+    the sum over components of the least count falls by at least one at
+    every switch. With no violation every component is walked, so the
+    count is the diagram's link component count.
     """
     consumer: dict[int, tuple[int, bool]] = {}
     for idx, (_, ui, oi, _uo, _oo) in enumerate(crossings):
@@ -83,19 +103,47 @@ def _first_violation(crossings: tuple[RawCrossing, ...]) -> tuple[int | None, in
     walked = 0
     while unwalked:
         walked += 1
-        base = min(unwalked)
-        a = base
+        start = min(unwalked)
+        passes: list[tuple[int, bool]] = []
+        a = start
         while True:
             unwalked.discard(a)
             idx, under = consumer[a]
-            if idx not in seen:
-                seen.add(idx)
-                if under:
-                    return idx, walked
+            passes.append((idx, under))
             c = crossings[idx]
             a = c[3] if under else c[4]
-            if a == base:
+            if a == start:
                 break
+        # run: violations of base 0; diff[b]: the change from base b - 1 to b
+        run = 0
+        diff = [0] * (len(passes) + 1)
+        first: dict[int, tuple[int, bool]] = {}
+        for p, (idx, under) in enumerate(passes):
+            if idx in seen:
+                continue
+            met = first.pop(idx, None)
+            if met is None:
+                first[idx] = (p, under)
+                continue
+            p1, under1 = met
+            step = -1 if under1 else 1
+            run += under1
+            diff[p1 + 1] += step
+            diff[p + 1] -= step
+        # what is left in ``first`` is shared with later components
+        run += sum(under for _, under in first.values())
+        least, base = run, 0
+        for b in range(1, len(passes)):
+            run += diff[b]
+            if run <= least:
+                least, base = run, b
+        if least:
+            for idx, under in passes[base:] + passes[:base]:
+                if idx not in seen:
+                    if under:
+                        return idx, walked
+                    seen.add(idx)
+        seen.update(idx for idx, _ in passes)
     return None, walked
 
 

@@ -1,9 +1,12 @@
 """A deliberately naive framed-HOMFLY evaluator, used only as an oracle.
 
 Shares nothing with the production path except the skein relation itself:
-no memoization, no canonical forms, no split-diagram factoring. The seed
-relabels the arcs at the top level, which moves the base points and hence
-the crossing at which each branch happens.
+no memoization, no canonical forms, no split-diagram factoring. Each
+component is walked from its smallest arc id, not from the base point of
+fewest violations that the production path picks, so the two recursions
+switch different crossings. The seed relabels the arcs at the top level,
+which moves those base points and hence the crossing at which each branch
+happens.
 """
 
 from __future__ import annotations

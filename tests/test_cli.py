@@ -13,6 +13,7 @@ import knitweave
 from knitweave import cli, hecke, knitted
 from knitweave.braid import BraidWord, half_twist_word
 from knitweave.cli import main, render_table
+from knitweave.diagram import braid_closure
 from knitweave.gallery import write_showcase_json
 from knitweave.knitted import (
     braid_closure_knitted,
@@ -21,7 +22,7 @@ from knitweave.knitted import (
     random_knitted,
     verify_theorem,
 )
-from knitweave.laurent import LaurentVZ, LaurentZ
+from knitweave.laurent import LaurentVZ, LaurentZ, delta_pow
 
 
 def run_cli(*args: str, stdin: str | None = None) -> tuple[int, str]:
@@ -66,6 +67,23 @@ def test_homfly_from_pd_file(tmp_path):
     assert rc == 0
     payload = json.loads(out)
     assert payload["framed"]["terms"][0] == {"v": -1, "z": 0, "c": "2"}
+
+
+def test_homfly_pd_of_t_2_70_follows_the_framed_recurrence(tmp_path):
+    # switching the last crossing of T(2,k) and cancelling the bigon gives
+    # T(2,k-2), smoothing it gives T(2,k-1): H_k = H_(k-2) + z H_(k-1)
+    prev, cur = delta_pow(1), LaurentVZ.monomial(-1, 0)
+    for _ in range(69):
+        prev, cur = cur, prev + LaurentVZ.monomial(0, 1) * cur
+    d = braid_closure(BraidWord(2, (1,) * 70))
+    pd = tmp_path / "t2_70.pd"
+    pd.write_text(" ".join(
+        f"X[{c.under_in},{c.over_in},{c.under_out},{c.over_out};{'+' if c.sign > 0 else '-'}]"
+        for c in d.crossings
+    ) + "\n")
+    rc, out = run_cli("homfly", "--pd", str(pd), "--format", "json")
+    assert rc == 0
+    assert LaurentVZ.from_json_dict(json.loads(out)["framed"]) == cur
 
 
 def test_table_of_unknot():

@@ -235,6 +235,23 @@ def test_eval_hecke_matches_direct_evaluation():
         assert eval_hecke(k) == homfly_framed(compile_diagram(k))
 
 
+def test_direct_skein_matches_eval_hecke_on_large_full_twists():
+    # the 22- and 27-crossing FT(D) among the first samples of at least 8
+    # boxes: knitted diagrams well past the size the other equivalence tests
+    # reach, where the choice of crossing to switch sets the skein's cost
+    rng = Random(8)
+    sizes = []
+    while len(sizes) < 3:
+        k, _ = random_knitted(rng, 12, 3, 5)
+        if len(k.template.boxes) < 8:
+            continue
+        d = compile_diagram(ft(k))
+        sizes.append(len(d.crossings))
+        if len(d.crossings) in (22, 27):
+            assert homfly_framed(d) == eval_hecke(ft(k))
+    assert sizes == [19, 27, 22]
+
+
 def test_eval_hecke_rejects_invalid_template():
     # the template is refused when it is built, before eval_hecke can see it
     with pytest.raises(TemplateError):
