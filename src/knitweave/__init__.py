@@ -12,17 +12,19 @@ The package is organized into small, pure layers:
   planarity verification.
 - ``skein``: framed and unframed HOMFLY evaluation by skein recursion with a
   descending-diagram base case.
-- ``knitted``: knitted templates and diagrams, full-twist insertion, the
-  Hecke-expansion evaluation path, and the full-twist theorem verifier.
+- ``knitted``: knitted templates and diagrams, compiled to PD codes (a braid
+  closure is the one-box case), full-twist insertion, the Hecke-expansion
+  evaluation path, and the full-twist theorem verifier.
 - ``cli``: the ``knitweave`` command-line front end.
 """
 
 from knitweave.braid import BraidWord, full_twist_word, half_twist_word
-from knitweave.diagram import PlanarDiagram, braid_closure
+from knitweave.diagram import PlanarDiagram
 from knitweave.hecke import HeckeElement, convert, expand_word, top_coeff
 from knitweave.knitted import (
     KnittedDiagram,
     KnittedTemplate,
+    braid_closure,
     braid_closure_knitted,
     compile_diagram,
     eval_hecke,

@@ -12,7 +12,8 @@ recursion limit, ``--strands``, ``--max-strands`` or a knitted box above
 ``MAX_STRANDS``, ``--max-boxes`` above ``MAX_BOXES``, ``--max-word-length``
 above ``MAX_WORD_LENGTH``, a Hecke expansion of more than
 ``hecke.MAX_TERMS`` terms, template sampling that finds no valid template,
-and a table of more than ``MAX_TABLE_CELLS`` cells). Argparse exits 2 as
+a table of more than ``MAX_TABLE_CELLS`` cells, and a coefficient past
+Python's int-to-string digit limit). Argparse exits 2 as
 well when the input flags name no input or more than one.
 """
 
@@ -320,17 +321,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_h = sub.add_parser("homfly", help="compute framed and unframed HOMFLY")
     add_input_flags(p_h)
+    p_h.set_defaults(command=cmd_homfly)
     p_h.add_argument("--format", dest="output_format", choices=("json", "table", "text"), default="text")
 
     p_v = sub.add_parser("verify-ft", help="check H-(D) = (-1)^(s-1) H+(FT D)")
     add_input_flags(p_v, with_pd=False)
+    p_v.set_defaults(command=cmd_verify_ft)
 
     p_e = sub.add_parser("hecke-expand", help="permutation-braid expansion of a braid word")
+    p_e.set_defaults(command=cmd_hecke_expand)
     p_e.add_argument("--braid", required=True)
     p_e.add_argument("--strands", type=int, required=True)
     p_e.add_argument("--basis", choices=("ppb", "npb", "both"), default="ppb")
 
     p_r = sub.add_parser("random-test", help="seeded verification campaign")
+    p_r.set_defaults(command=cmd_random_test)
     p_r.add_argument("--seed", type=int, default=0)
     p_r.add_argument("--count", type=int, default=50)
     p_r.add_argument("--max-boxes", type=int, default=3)
@@ -338,17 +343,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_r.add_argument("--max-word-length", type=int, default=4)
 
     p_t = sub.add_parser("table", help="render polynomial JSON as a coefficient grid")
+    p_t.set_defaults(command=cmd_table)
     p_t.add_argument("table_path", nargs="?", default="-", help="polynomial JSON file (default: stdin)")
     return parser
-
-
-_COMMANDS = {
-    "homfly": cmd_homfly,
-    "verify-ft": cmd_verify_ft,
-    "hecke-expand": cmd_hecke_expand,
-    "random-test": cmd_random_test,
-    "table": cmd_table,
-}
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
@@ -364,7 +361,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         ):
             if value is not None and value > most:
                 raise ValueError(f"{flag} must be at most {most}, got {value}")
-        return _COMMANDS[args.subcommand](args, out)
+        return args.command(args, out)
     except (ValueError, OSError) as exc:  # parse, template and sampling errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

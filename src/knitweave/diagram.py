@@ -20,14 +20,12 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from knitweave.braid import BraidWord
-
 __all__ = [
     "Crossing",
     "PlanarDiagram",
     "SeifertGraph",
     "PDParseError",
-    "braid_closure",
+    "OpenDiagramError",
     "seifert_circles",
     "seifert_graph",
     "writhe",
@@ -70,14 +68,11 @@ class PlanarDiagram:
         for c in self.crossings:
             ins += [c.under_in, c.over_in]
             outs += [c.under_out, c.over_out]
-        if len(set(ins)) != len(ins):
-            raise ValueError("an arc is consumed by more than one in-port")
-        if len(set(outs)) != len(outs):
-            raise ValueError("an arc is produced by more than one out-port")
-        if set(ins) != set(outs):
-            stray = set(ins) ^ set(outs)
-            raise ValueError(f"diagram is not closed; unmatched arcs {sorted(stray)}")
         self.arcs = frozenset(ins)
+        # both lists hold two arcs per crossing, so equal sets with no arc
+        # consumed twice leave none produced twice either
+        if len(self.arcs) != len(ins) or self.arcs != set(outs):
+            raise OpenDiagramError(self.crossings)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -93,6 +88,36 @@ class PlanarDiagram:
         return (tuple(c.as_tuple() for c in self.crossings), self.free_loops)
 
 
+class OpenDiagramError(ValueError):
+    """A PD code that does not close up; ``crossing`` indexes the one at fault."""
+
+    def __init__(self, crossings: Sequence[Crossing]) -> None:
+        message, self.crossing = next(_closure_faults(crossings))
+        super().__init__(message)
+
+
+def _closure_faults(crossings: Sequence[Crossing]) -> Iterator[tuple[str, int]]:
+    """Each fault as (message, crossing index), searched for only once the
+    constructor's set check has failed. Crossing by crossing, an arc consumed
+    twice, then one produced twice; then each arc consumed but never produced.
+    With no arc met twice, both arc sets have two arcs per crossing, so if
+    they differ some arc is consumed but never produced."""
+    consumer: dict[int, int] = {}
+    producer: dict[int, int] = {}
+    for k, c in enumerate(crossings):
+        for arc in (c.under_in, c.over_in):
+            if arc in consumer:
+                yield f"arc {arc} consumed twice", k
+            consumer[arc] = k
+        for arc in (c.under_out, c.over_out):
+            if arc in producer:
+                yield f"arc {arc} produced twice", k
+            producer[arc] = k
+    for arc, k in consumer.items():
+        if arc not in producer:
+            yield f"arc {arc} is consumed but never produced", k
+
+
 @dataclass(frozen=True)
 class SeifertGraph:
     """Vertices are Seifert circles; one signed edge per crossing."""
@@ -102,42 +127,6 @@ class SeifertGraph:
 
 
 RawCrossing = tuple[int, int, int, int, int]
-
-
-def _word_crossings(letters: Iterable[int], cur: list[int], fresh: int) -> list[RawCrossing]:
-    """Raw crossings of a braid word, one per letter, read from the bottom.
-
-    ``cur`` holds the arc on each strand position and is advanced in place.
-    The left and right outputs of the k-th letter are new arcs fresh + 2k
-    and fresh + 2k + 1. Letter +i carries the strand at position i over the
-    one at i + 1, letter -i carries it under; either way the two swap.
-    """
-    raw: list[RawCrossing] = []
-    for g in letters:
-        i = abs(g)
-        left, right = cur[i - 1], cur[i]
-        p, q = fresh, fresh + 1
-        fresh += 2
-        raw.append((1, right, left, p, q) if g > 0 else (-1, left, right, q, p))
-        cur[i - 1], cur[i] = p, q
-    return raw
-
-
-def braid_closure(word: BraidWord) -> PlanarDiagram:
-    """PD code of the standard closure of a braid word."""
-    n = word.strands
-    cur = list(range(1, n + 1))
-    raw = _word_crossings(word.letters, cur, n + 1)
-    free_loops = 0
-    relabel: dict[int, int] = {}
-    for j in range(n):
-        end, start = cur[j], j + 1
-        if end == start:
-            free_loops += 1  # untouched strand closes to a circle
-        else:
-            relabel[end] = start
-    crossings = [Crossing(s, *(relabel.get(a, a) for a in arcs)) for s, *arcs in raw]
-    return PlanarDiagram(crossings, free_loops)
 
 
 def _union_find(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
@@ -411,8 +400,8 @@ def parse_pd(text: str) -> PlanarDiagram:
 
     The bracket lists (under_in, over_in, under_out, over_out). The format is
     ASCII: digits and whitespace outside ASCII are rejected. Whitespace is
-    free between tokens; invariant violations are reported with the position
-    of the offending token.
+    free between tokens. An error names the line and column of the offending
+    token, found for that token only, so parsing is linear in the text.
     """
 
     def where(offset: int) -> tuple[int, int]:
@@ -421,7 +410,7 @@ def parse_pd(text: str) -> PlanarDiagram:
         return line, col
 
     crossings: list[Crossing] = []
-    positions: list[tuple[int, int]] = []
+    offsets: list[int] = []  # where each crossing's token starts
     free_loops = 0
     i = 0
     while i < len(text):
@@ -439,29 +428,9 @@ def parse_pd(text: str) -> PlanarDiagram:
             a, b, c, dd = (int(m.group(k)) for k in range(1, 5))
             sign = 1 if m.group(5) == "+" else -1
             crossings.append(Crossing(sign, a, b, c, dd))
-            positions.append(where(i))
+            offsets.append(i)
         i = m.end()
-
-    seen_in: dict[int, int] = {}
-    seen_out: dict[int, int] = {}
-    for k, c in enumerate(crossings):
-        for arc in (c.under_in, c.over_in):
-            if arc in seen_in:
-                line, col = positions[k]
-                raise PDParseError(f"arc {arc} consumed twice", line, col)
-            seen_in[arc] = k
-        for arc in (c.under_out, c.over_out):
-            if arc in seen_out:
-                line, col = positions[k]
-                raise PDParseError(f"arc {arc} produced twice", line, col)
-            seen_out[arc] = k
-    for arc, k in seen_in.items():
-        if arc not in seen_out:
-            line, col = positions[k]
-            raise PDParseError(f"arc {arc} is consumed but never produced", line, col)
-    for arc, k in seen_out.items():
-        if arc not in seen_in:
-            line, col = positions[k]
-            raise PDParseError(f"arc {arc} is produced but never consumed", line, col)
-    return PlanarDiagram(crossings, free_loops)
-
+    try:
+        return PlanarDiagram(crossings, free_loops)
+    except OpenDiagramError as exc:
+        raise PDParseError(str(exc), *where(offsets[exc.crossing])) from None

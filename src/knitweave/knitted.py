@@ -45,7 +45,6 @@ from knitweave.diagram import (
     RawCrossing,
     _genus_zero,
     _union_find,
-    _word_crossings,
 )
 from knitweave.hecke import _add_product, expand_word, top_coeff
 from knitweave.laurent import LaurentVZ, LaurentZ
@@ -69,6 +68,7 @@ __all__ = [
     "from_bipartite_graph",
     "braid_closure_template",
     "braid_closure_knitted",
+    "braid_closure",
     "knitted_to_json",
     "knitted_from_json",
     "random_template",
@@ -249,6 +249,25 @@ def validate(
 def seifert_count(t: KnittedTemplate) -> int:
     """Number of Seifert circles of any diagram on this template."""
     return len(_circles(t.wiring))
+
+
+def _word_crossings(letters: Sequence[int], cur: list[int], fresh: int) -> list[RawCrossing]:
+    """Raw crossings of a braid word, one per letter, read from the bottom.
+
+    ``cur`` holds the arc on each strand position and is advanced in place.
+    The left and right outputs of the k-th letter are new arcs fresh + 2k
+    and fresh + 2k + 1. Letter +i carries the strand at position i over the
+    one at i + 1, letter -i carries it under; either way the two swap.
+    """
+    raw: list[RawCrossing] = []
+    for g in letters:
+        i = abs(g)
+        left, right = cur[i - 1], cur[i]
+        p, q = fresh, fresh + 1
+        fresh += 2
+        raw.append((1, right, left, p, q) if g > 0 else (-1, left, right, q, p))
+        cur[i - 1], cur[i] = p, q
+    return raw
 
 
 def compile_diagram(k: KnittedDiagram) -> PlanarDiagram:
@@ -472,6 +491,11 @@ def braid_closure_template(n: int) -> KnittedTemplate:
 
 def braid_closure_knitted(word: BraidWord) -> KnittedDiagram:
     return KnittedDiagram(braid_closure_template(word.strands), (word,))
+
+
+def braid_closure(word: BraidWord) -> PlanarDiagram:
+    """PD code of the standard closure of a braid word, compiled from its one-box template."""
+    return compile_diagram(braid_closure_knitted(word))
 
 
 # used with fullmatch: ``$`` would also match before a trailing newline

@@ -12,12 +12,12 @@ v-exponent, then ascending z-exponent.
 from __future__ import annotations
 
 import re
-from math import comb
-from typing import Mapping
+from typing import Mapping, TypeVar
 
 __all__ = ["LaurentZ", "LaurentVZ", "delta_pow"]
 
 _DECIMAL = re.compile(r"-?[0-9]+")
+_L = TypeVar("_L", bound="_Laurent")
 
 
 def _fmt_power(var: str, exp: int) -> str:
@@ -43,17 +43,49 @@ def _fmt_terms(parts: list[tuple[int, str]]) -> str:
     return " ".join(chunks)
 
 
-class LaurentZ:
-    """A Laurent polynomial in ``z`` with integer coefficients."""
+class _Laurent:
+    """Arithmetic shared by both classes; each has its own keys and ``__mul__``."""
 
     __slots__ = ("_terms",)
 
+    @classmethod
+    def zero(cls: type[_L]) -> _L:
+        return cls()
+
+    @property
+    def terms(self) -> dict:
+        """A copy of the exponent -> coefficient map (zero terms absent)."""
+        return dict(self._terms)
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, type(self)) and self._terms == other._terms
+
+    def __neg__(self: _L) -> _L:
+        return type(self)({k: -c for k, c in self._terms.items()})
+
+    def __add__(self: _L, other: _L) -> _L:
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            out[k] = out.get(k, 0) + c
+        return type(self)(out)
+
+    def __sub__(self: _L, other: _L) -> _L:
+        return self + (-other)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._terms!r})"
+
+
+class LaurentZ(_Laurent):
+    """A Laurent polynomial in ``z`` with integer coefficients."""
+
+    __slots__ = ()
+
     def __init__(self, terms: Mapping[int, int] | None = None) -> None:
         self._terms = {int(e): int(c) for e, c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls) -> LaurentZ:
-        return cls()
 
     @classmethod
     def one(cls) -> LaurentZ:
@@ -63,35 +95,12 @@ class LaurentZ:
     def term(cls, exponent: int, coefficient: int = 1) -> LaurentZ:
         return cls({exponent: coefficient})
 
-    @property
-    def terms(self) -> dict[int, int]:
-        """A copy of the exponent -> coefficient map (zero terms absent)."""
-        return dict(self._terms)
-
     def coeff(self, exponent: int) -> int:
         return self._terms.get(exponent, 0)
 
     def shifted(self, k: int) -> LaurentZ:
         """Multiply by ``z^k``."""
         return LaurentZ({e + k: c for e, c in self._terms.items()})
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LaurentZ) and self._terms == other._terms
-
-    def __neg__(self) -> LaurentZ:
-        return LaurentZ({e: -c for e, c in self._terms.items()})
-
-    def __add__(self, other: LaurentZ) -> LaurentZ:
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentZ(out)
-
-    def __sub__(self, other: LaurentZ) -> LaurentZ:
-        return self + (-other)
 
     def __mul__(self, other: LaurentZ | int) -> LaurentZ:
         if isinstance(other, int):
@@ -108,21 +117,14 @@ class LaurentZ:
     def __str__(self) -> str:
         return _fmt_terms([(c, _fmt_power("z", e)) for e, c in sorted(self._terms.items())])
 
-    def __repr__(self) -> str:
-        return f"LaurentZ({self._terms!r})"
 
-
-class LaurentVZ:
+class LaurentVZ(_Laurent):
     """A Laurent polynomial in ``v`` and ``z`` with integer coefficients."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None) -> None:
         self._terms = {(int(v), int(z)): int(c) for (v, z), c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls) -> LaurentVZ:
-        return cls()
 
     @classmethod
     def one(cls) -> LaurentVZ:
@@ -131,11 +133,6 @@ class LaurentVZ:
     @classmethod
     def monomial(cls, v_exp: int, z_exp: int, coefficient: int = 1) -> LaurentVZ:
         return cls({(v_exp, z_exp): coefficient})
-
-    @property
-    def terms(self) -> dict[tuple[int, int], int]:
-        """A copy of the (v-exp, z-exp) -> coefficient map (zero terms absent)."""
-        return dict(self._terms)
 
     def coeff(self, v_exp: int, z_exp: int) -> int:
         return self._terms.get((v_exp, z_exp), 0)
@@ -149,24 +146,6 @@ class LaurentVZ:
 
     def z_exponents(self) -> set[int]:
         return {z for _, z in self._terms}
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LaurentVZ) and self._terms == other._terms
-
-    def __neg__(self) -> LaurentVZ:
-        return LaurentVZ({k: -c for k, c in self._terms.items()})
-
-    def __add__(self, other: LaurentVZ) -> LaurentVZ:
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0) + c
-        return LaurentVZ(out)
-
-    def __sub__(self, other: LaurentVZ) -> LaurentVZ:
-        return self + (-other)
 
     def __mul__(self, other: LaurentVZ | int) -> LaurentVZ:
         if isinstance(other, int):
@@ -217,9 +196,6 @@ class LaurentVZ:
             parts.append((c, mono))
         return _fmt_terms(parts)
 
-    def __repr__(self) -> str:
-        return f"LaurentVZ({self._terms!r})"
-
 
 def delta_pow(k: int) -> LaurentVZ:
     """``((v^-1 - v)/z)^k``, the value of a (k+1)-circle trivial diagram.
@@ -228,4 +204,9 @@ def delta_pow(k: int) -> LaurentVZ:
     """
     if k < 0:
         raise ValueError("delta_pow requires a nonnegative exponent")
-    return LaurentVZ({(2 * j - k, -k): (-1) ** j * comb(k, j) for j in range(k + 1)})
+    terms: dict[tuple[int, int], int] = {}
+    c = 1  # (-1)^j C(k, j), each from the last by C(k, j+1) = C(k, j)(k-j)/(j+1)
+    for j in range(k + 1):
+        terms[2 * j - k, -k] = c
+        c = -c * (k - j) // (j + 1)
+    return LaurentVZ(terms)

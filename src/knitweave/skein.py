@@ -52,6 +52,7 @@ from __future__ import annotations
 from knitweave.diagram import (
     PlanarDiagram,
     RawCrossing,
+    _arc_table,
     _split_components,
     canonical_raw,
     planarity_check,
@@ -94,11 +95,8 @@ def _first_violation(crossings: tuple[RawCrossing, ...]) -> tuple[int | None, in
     every switch. With no violation every component is walked, so the
     count is the diagram's link component count.
     """
-    consumer: dict[int, tuple[int, bool]] = {}
-    for idx, (_, ui, oi, _uo, _oo) in enumerate(crossings):
-        consumer[ui] = (idx, True)
-        consumer[oi] = (idx, False)
-    unwalked = set(consumer)
+    table = _arc_table(crossings)
+    unwalked = set(table)
     seen: set[int] = set()
     walked = 0
     while unwalked:
@@ -108,10 +106,8 @@ def _first_violation(crossings: tuple[RawCrossing, ...]) -> tuple[int | None, in
         a = start
         while True:
             unwalked.discard(a)
-            idx, under = consumer[a]
-            passes.append((idx, under))
-            c = crossings[idx]
-            a = c[3] if under else c[4]
+            idx, token, a, _ = table[a]
+            passes.append((idx, not token & 1))  # an even token enters under
             if a == start:
                 break
         # run: violations of base 0; diff[b]: the change from base b - 1 to b

@@ -18,6 +18,7 @@ from knitweave.cli import main, render_table
 from knitweave.gallery import showcase_knot, write_showcase_json
 from knitweave.hecke import NPB, convert, expand_word, top_coeff
 from knitweave.knitted import (
+    braid_closure,
     braid_closure_knitted,
     compile_diagram,
     eval_hecke,
@@ -228,8 +229,6 @@ def test_criterion_8_hand_derived_fixed_points():
     k1 = homfly_framed(compile_diagram(braid_closure_knitted(BraidWord(2, (1,)))))
     k2 = homfly_framed(compile_diagram(braid_closure_knitted(BraidWord(2, (1, 1)))))
     k3 = homfly_framed(compile_diagram(braid_closure_knitted(BraidWord(2, (1, 1, 1)))))
-    from knitweave.diagram import braid_closure
-
     p3 = homfly_unframed(braid_closure(BraidWord(2, (1, 1, 1))))
     elapsed = time.monotonic() - start
     ok = (

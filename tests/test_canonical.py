@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from knitweave import diagram
 from knitweave.braid import BraidWord, full_twist_word
-from knitweave.diagram import _split_components, braid_closure, canonical_raw
+from knitweave.diagram import _split_components, canonical_raw
+from knitweave.knitted import braid_closure
 
 
 @st.composite

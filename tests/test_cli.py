@@ -13,9 +13,9 @@ import knitweave
 from knitweave import cli, hecke, knitted
 from knitweave.braid import BraidWord, half_twist_word
 from knitweave.cli import main, render_table
-from knitweave.diagram import braid_closure
 from knitweave.gallery import write_showcase_json
 from knitweave.knitted import (
+    braid_closure,
     braid_closure_knitted,
     knitted_from_json,
     knitted_to_json,
@@ -334,6 +334,22 @@ def test_a_wide_box_is_checked_in_linear_time_before_the_strand_limit(tmp_path):
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith(f"error: box 0 has {n} strands"), proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-string digit limit")
+def test_value_past_the_int_string_limit_exits_2(tmp_path):
+    # 20,000 free loops give delta^19999, whose middle coefficient has about
+    # 6,000 digits; printing it passes Python's default 4,300-digit limit
+    path = tmp_path / "loops.pd"
+    path.write_text(" ".join(["O"] * 20000))
+    src = str(Path(knitweave.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "knitweave.cli", "homfly", "--pd", str(path)],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_invalid_knitted_template_exits_2_at_load(tmp_path, capsys):

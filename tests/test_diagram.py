@@ -1,3 +1,4 @@
+import time
 from random import Random
 
 import pytest
@@ -8,9 +9,9 @@ from naive_hecke import perm_of_word
 from knitweave.braid import BraidWord
 from knitweave.diagram import (
     Crossing,
+    OpenDiagramError,
     PDParseError,
     PlanarDiagram,
-    braid_closure,
     canonical_raw,
     component_count,
     parse_pd,
@@ -19,6 +20,7 @@ from knitweave.diagram import (
     seifert_graph,
     writhe,
 )
+from knitweave.knitted import braid_closure
 
 
 def _random_word(rng: Random, n: int, max_len: int = 8) -> BraidWord:
@@ -175,6 +177,24 @@ def test_closed_diagram_invariant_is_enforced():
         )
 
 
+def test_open_diagram_error_names_the_first_fault_and_its_crossing():
+    cases = (
+        # crossing by crossing: the produced-twice arc of crossing 0 comes
+        # before the consumed-twice arc of crossing 1
+        ([(1, 2, 3, 3), (1, 5, 6, 7)], "arc 3 produced twice", 0),
+        ([(1, 2, 3, 4), (4, 3, 2, 2)], "arc 2 produced twice", 1),
+        ([(1, 2, 3, 4), (4, 3, 9, 1)], "arc 2 is consumed but never produced", 0),
+        ([(1, 2, 3, 4), (4, 9, 1, 2)], "arc 9 is consumed but never produced", 1),
+    )
+    for arcs, message, crossing in cases:
+        with pytest.raises(OpenDiagramError) as err:
+            PlanarDiagram([Crossing(1, *a) for a in arcs])
+        assert str(err.value) == message and err.value.crossing == crossing
+        with pytest.raises(PDParseError) as err:
+            parse_pd("O\n" + "\n".join("  X[%d,%d,%d,%d;+]" % a for a in arcs))
+        assert str(err.value) == f"{message} (line {crossing + 2}, column 3)"
+
+
 def test_sign_is_validated():
     with pytest.raises(ValueError):
         Crossing(2, 1, 2, 3, 4)
@@ -237,6 +257,16 @@ def test_pd_parse_reports_position():
     assert err.value.line == 1 and err.value.column == 14
     with pytest.raises(PDParseError):
         parse_pd("X[1,2,3,4;+]")  # not closed
+
+
+def test_pd_parse_is_linear_in_the_text():
+    # T(2,40000) is 1.1 MB of PD text; finding every crossing's line and
+    # column up front made parsing quadratic (17 s on a 2-core x86 host)
+    d = braid_closure(BraidWord(2, (1,) * 40000))
+    text = "\n".join("X[%d,%d,%d,%d;+]" % c.as_tuple()[1:] for c in d.crossings)
+    start = time.monotonic()
+    assert parse_pd(text) == d
+    assert time.monotonic() - start < 5.0
 
 
 def test_pd_free_loops():

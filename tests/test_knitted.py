@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 
 from knitweave import knitted
 from knitweave.braid import BraidWord, full_twist_word
-from knitweave.diagram import (
-    braid_closure,
-    canonical_raw,
-    component_count,
-    planarity_check,
-)
+from knitweave.diagram import component_count, planarity_check
 from knitweave.gallery import showcase_knot
 from knitweave.knitted import (
     KnittedDiagram,
@@ -159,13 +154,6 @@ def test_seifert_count_examples():
     )
     assert validate(t2.boxes, t2.wiring).ok
     assert seifert_count(t2) == 4
-
-
-def test_compile_matches_braid_closure():
-    for letters, n in (((), 3), ((1,), 2), ((1, -2, 1), 3), ((1, 1, 1), 2)):
-        w = BraidWord(n, letters)
-        compiled = compile_diagram(braid_closure_knitted(w))
-        assert canonical_raw(*compiled.raw()) == canonical_raw(*braid_closure(w).raw())
 
 
 def test_compile_with_empty_words_gives_free_loops():

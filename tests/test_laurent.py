@@ -1,4 +1,5 @@
 import json
+from math import comb
 from random import Random
 
 import pytest
@@ -57,6 +58,12 @@ def test_delta_pow_base_cases():
     assert delta_pow(0) == LaurentVZ.one()
     assert delta_pow(1) == LaurentVZ({(-1, -1): 1, (1, -1): -1})
     assert delta_pow(2) == LaurentVZ({(-2, -2): 1, (0, -2): -2, (2, -2): 1})
+
+
+def test_delta_pow_matches_the_binomial_sum():
+    for k in range(61):
+        expected = LaurentVZ({(2 * j - k, -k): (-1) ** j * comb(k, j) for j in range(k + 1)})
+        assert delta_pow(k) == expected
 
 
 def test_delta_pow_rejects_negative():

@@ -22,9 +22,9 @@ def _module_globals():
                 yield f"{module_name}.{name}", value
 
 
-def test_only_the_skein_memo_and_the_command_table_are_mutable_module_globals():
+def test_only_the_skein_memo_is_a_mutable_module_global():
     found = {name for name, value in _module_globals() if isinstance(value, MUTABLE)}
-    assert found == {"knitweave.skein._MEMO", "knitweave.cli._COMMANDS"}
+    assert found == {"knitweave.skein._MEMO"}
 
 
 def test_no_module_global_is_a_functools_cache():

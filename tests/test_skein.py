@@ -12,12 +12,12 @@ from knitweave.braid import BraidWord, full_twist_word
 from knitweave.diagram import (
     Crossing,
     PlanarDiagram,
-    braid_closure,
     planarity_check,
     seifert_circles,
     writhe,
 )
 from knitweave.knitted import (
+    braid_closure,
     braid_closure_knitted,
     compile_diagram,
     eval_hecke,

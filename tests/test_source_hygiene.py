@@ -107,3 +107,31 @@ def test_every_public_module_level_def_is_read_in_the_package():
     public = [(name, node) for name, node in _module_level_defs() if not node.name.startswith("_")]
     known = _exported(TREES["__init__.py"]) | documented | _attributes()
     assert _unread(public, known) == []
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The ``knitweave`` modules a module imports, by short name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # the package has no subpackages, so a relative import is from it
+            module = ".".join(filter(None, ("knitweave" if node.level else "", node.module)))
+            # ``from knitweave import braid`` imports the module braid
+            modules = [f"{module}.{alias.name}" for alias in node.names] if module == "knitweave" else [module]
+        else:
+            continue
+        found |= {m.partition(".")[2] or m for m in modules if m.split(".")[0] == "knitweave"}
+    return found
+
+
+def test_the_lower_layers_import_only_the_layers_below_them():
+    layers = {
+        "laurent.py": set(),
+        "braid.py": set(),
+        "diagram.py": set(),
+        "hecke.py": {"braid", "laurent"},
+        "skein.py": {"diagram", "laurent"},
+    }
+    assert {name: _package_imports(TREES[name]) for name in layers} == layers
