@@ -1,11 +1,12 @@
 """Oriented link diagrams as PD codes.
 
-A crossing is a record (sign, under_in, over_in, under_out, over_out) of arc
-identifiers; arcs are directed, each produced by exactly one out-port and
-consumed by exactly one in-port. Crossing-free circles are counted in
-``free_loops``. Signs are carried explicitly and validated rather than
-inferred from port order: sign bugs are the dominant failure mode in skein
-code.
+A crossing is a named 5-tuple (sign, under_in, over_in, under_out, over_out)
+of arc identifiers, the same record the skein recursion walks; arcs are
+directed, each produced by exactly one out-port and consumed by exactly one
+in-port. Crossing-free circles are counted in ``free_loops``. Signs are
+carried explicitly rather than inferred from port order, since sign bugs are
+the dominant failure mode in skein code; ``PlanarDiagram`` checks every sign
+and that the arcs close up when it is built.
 
 The cyclic port order used for face tracing is fixed as
 (under_in, over_in, under_out, over_out) counterclockwise at positive
@@ -17,8 +18,7 @@ this convention, so the rotation system survives skein moves.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "Crossing",
@@ -35,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """One crossing, ports named by strand role."""
 
     sign: int
@@ -45,12 +44,8 @@ class Crossing:
     under_out: int
     over_out: int
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"crossing sign must be +1 or -1, got {self.sign}")
-
     def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.sign, self.under_in, self.over_in, self.under_out, self.over_out)
+        return tuple(self)
 
 
 class PlanarDiagram:
@@ -66,6 +61,8 @@ class PlanarDiagram:
         ins: list[int] = []
         outs: list[int] = []
         for c in self.crossings:
+            if c.sign not in (1, -1):
+                raise ValueError(f"crossing sign must be +1 or -1, got {c.sign}")
             ins += [c.under_in, c.over_in]
             outs += [c.under_out, c.over_out]
         self.arcs = frozenset(ins)
@@ -83,9 +80,6 @@ class PlanarDiagram:
 
     def __repr__(self) -> str:
         return f"PlanarDiagram({len(self.crossings)} crossings, {self.free_loops} free loops)"
-
-    def raw(self) -> tuple[tuple[tuple[int, int, int, int, int], ...], int]:
-        return (tuple(c.as_tuple() for c in self.crossings), self.free_loops)
 
 
 class OpenDiagramError(ValueError):
@@ -118,15 +112,11 @@ def _closure_faults(crossings: Sequence[Crossing]) -> Iterator[tuple[str, int]]:
             yield f"arc {arc} is consumed but never produced", k
 
 
-@dataclass(frozen=True)
-class SeifertGraph:
+class SeifertGraph(NamedTuple):
     """Vertices are Seifert circles; one signed edge per crossing."""
 
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int, int], ...]  # (circle_a, circle_b, sign), a < b
-
-
-RawCrossing = tuple[int, int, int, int, int]
 
 
 def _union_find(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
@@ -261,9 +251,7 @@ def planarity_check(d: PlanarDiagram) -> bool:
     return _genus_zero(rotations, partner)
 
 
-def _split_components(
-    crossings: Sequence[RawCrossing],
-) -> list[tuple[RawCrossing, ...]]:
+def _split_components(crossings: Sequence[Crossing]) -> list[tuple[Crossing, ...]]:
     """Connected components of the crossing graph (arcs as adjacency).
 
     Components come in order of their first crossing, crossings in input order.
@@ -275,13 +263,13 @@ def _split_components(
             first = first_at.setdefault(a, idx)
             if first != idx:
                 pairs.append((first, idx))
-    groups: dict[int, list[RawCrossing]] = {}
+    groups: dict[int, list[Crossing]] = {}
     for c, root in zip(crossings, _union_find(len(crossings), pairs)):
         groups.setdefault(root, []).append(c)
     return [tuple(g) for g in groups.values()]
 
 
-def _arc_table(crossings: Sequence[RawCrossing]) -> dict[int, tuple[int, int, int, int]]:
+def _arc_table(crossings: Sequence[Crossing]) -> dict[int, tuple[int, int, int, int]]:
     """In-arc -> (crossing index, new-crossing token, next arc, other in-arc)."""
     table = {}
     for idx, (s, ui, oi, uo, oo) in enumerate(crossings):
@@ -331,9 +319,7 @@ def _walk(
             base = a = next(iter(once))
 
 
-def canonical_raw(
-    crossings: Sequence[RawCrossing], free_loops: int
-) -> tuple:
+def canonical_raw(crossings: Sequence[Crossing], free_loops: int) -> tuple:
     """Canonical form: sorted per-piece least token streams plus loop count.
 
     Each connected piece is keyed by the least of the streams ``_walk`` yields

@@ -130,6 +130,7 @@ def _step(m: _Map, i: int, positive: bool) -> _Map:
     MAX_TERMS terms.
     """
     sign = 1 if positive else -1
+    # the two add loops are _add_product's, inlined for speed: a helper call per entry is slower
     out: _Map = {}
     for w, c in m.items():
         p, q = w.index(i), w.index(i + 1)

@@ -42,7 +42,6 @@ from knitweave.braid import (
 from knitweave.diagram import (
     Crossing,
     PlanarDiagram,
-    RawCrossing,
     _genus_zero,
     _union_find,
 )
@@ -251,15 +250,15 @@ def seifert_count(t: KnittedTemplate) -> int:
     return len(_circles(t.wiring))
 
 
-def _word_crossings(letters: Sequence[int], cur: list[int], fresh: int) -> list[RawCrossing]:
-    """Raw crossings of a braid word, one per letter, read from the bottom.
+def _word_crossings(letters: Sequence[int], cur: list[int], fresh: int) -> list[Crossing]:
+    """Crossings of a braid word as plain tuples, one per letter, read from the bottom.
 
     ``cur`` holds the arc on each strand position and is advanced in place.
     The left and right outputs of the k-th letter are new arcs fresh + 2k
     and fresh + 2k + 1. Letter +i carries the strand at position i over the
     one at i + 1, letter -i carries it under; either way the two swap.
     """
-    raw: list[RawCrossing] = []
+    raw: list[Crossing] = []
     for g in letters:
         i = abs(g)
         left, right = cur[i - 1], cur[i]
@@ -280,7 +279,7 @@ def compile_diagram(k: KnittedDiagram) -> PlanarDiagram:
         arc_of_in[dst] = w_id
 
     fresh = len(t.wiring)
-    raw: list[RawCrossing] = []
+    raw: list[Crossing] = []
     merges: list[tuple[int, int]] = []
     for b, word in enumerate(k.words):
         n = t.boxes[b]

@@ -50,8 +50,8 @@ process; evaluations run one at a time and are deterministic.
 from __future__ import annotations
 
 from knitweave.diagram import (
+    Crossing,
     PlanarDiagram,
-    RawCrossing,
     _arc_table,
     _split_components,
     canonical_raw,
@@ -71,7 +71,7 @@ __all__ = [
 _MEMO: dict[tuple, LaurentVZ] = {}
 
 
-def _first_violation(crossings: tuple[RawCrossing, ...]) -> tuple[int | None, int]:
+def _first_violation(crossings: tuple[Crossing, ...]) -> tuple[int | None, int]:
     """First crossing met on its under-strand (or None), and components walked.
 
     Link components are walked in order of smallest arc id, each following
@@ -143,15 +143,15 @@ def _first_violation(crossings: tuple[RawCrossing, ...]) -> tuple[int | None, in
     return None, walked
 
 
-def _switch(crossings: tuple[RawCrossing, ...], idx: int) -> tuple[RawCrossing, ...]:
+def _switch(crossings: tuple[Crossing, ...], idx: int) -> tuple[Crossing, ...]:
     s, ui, oi, uo, oo = crossings[idx]
     switched = (-s, oi, ui, oo, uo)
     return crossings[:idx] + (switched,) + crossings[idx + 1 :]
 
 
 def _remove(
-    crossings: tuple[RawCrossing, ...], idx: int | None
-) -> tuple[tuple[RawCrossing, ...], int, int]:
+    crossings: tuple[Crossing, ...], idx: int | None
+) -> tuple[tuple[Crossing, ...], int, int]:
     """Smooth crossing ``idx`` out (none at the root), then remove every kink.
 
     A crossing is removed by its two oriented splices, under_in->over_out
@@ -199,7 +199,7 @@ def _remove(
     return rest, loops, w
 
 
-def _eval(crossings: tuple[RawCrossing, ...], free_loops: int) -> LaurentVZ:
+def _eval(crossings: tuple[Crossing, ...], free_loops: int) -> LaurentVZ:
     if not crossings:
         # nonempty crossing-free diagram of k circles
         return delta_pow(free_loops - 1)
@@ -234,11 +234,10 @@ def homfly_framed(d: PlanarDiagram) -> LaurentVZ:
     """The framed HOMFLY polynomial H(d)."""
     if not planarity_check(d):
         raise ValueError("diagram is not planar; framed HOMFLY is undefined on it")
-    raw, loops = d.raw()
-    if not raw and loops == 0:
+    if not d.crossings and d.free_loops == 0:
         raise ValueError("empty diagram has no HOMFLY value")
-    rest, more, w = _remove(raw, None)
-    return LaurentVZ.monomial(-w, 0) * _eval(rest, loops + more)
+    rest, more, w = _remove(d.crossings, None)
+    return LaurentVZ.monomial(-w, 0) * _eval(rest, d.free_loops + more)
 
 
 def homfly_unframed(d: PlanarDiagram) -> LaurentVZ:

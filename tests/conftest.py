@@ -42,7 +42,7 @@ def _audit(d: PlanarDiagram, h: LaurentVZ) -> None:
     if minus_zero:
         assert not h.coeff_of_v(-s + 1), f"forced H- = 0 violated: H={h}"
     if len(d.crossings) <= _SMALL_LIMIT and len(small_diagrams) < _SMALL_CAP:
-        small_diagrams.setdefault(canonical_raw(*d.raw()), d)
+        small_diagrams.setdefault(canonical_raw(d.crossings, d.free_loops), d)
 
 
 _real_homfly_framed = skein.homfly_framed

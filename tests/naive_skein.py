@@ -20,16 +20,15 @@ _Z = LaurentVZ.monomial(0, 1)
 
 
 def naive_homfly_framed(d: PlanarDiagram, seed: int = 0) -> LaurentVZ:
-    raw, loops = d.raw()
-    arcs = sorted({a for c in raw for a in c[1:]})
+    arcs = sorted({a for c in d.crossings for a in c[1:]})
     shuffled = list(arcs)
     Random(seed).shuffle(shuffled)
     relabel = dict(zip(arcs, shuffled))
     raw = tuple(
         (s, relabel[ui], relabel[oi], relabel[uo], relabel[oo])
-        for (s, ui, oi, uo, oo) in raw
+        for (s, ui, oi, uo, oo) in d.crossings
     )
-    return _eval(raw, loops)
+    return _eval(raw, d.free_loops)
 
 
 def _eval(crossings, free_loops):

@@ -37,7 +37,7 @@ def braid_closures(draw, signs=(1, -1)):
             max_size=10,
         )
     )
-    return braid_closure(BraidWord(n, tuple(g * s for g, s in letters))).raw()[0]
+    return braid_closure(BraidWord(n, tuple(g * s for g, s in letters))).crossings
 
 
 def _disjoint_union(pieces):
@@ -71,7 +71,7 @@ _KINKS = (
 # the Hopf link sigma1^2
 _INTERLEAVED = tuple(
     _disjoint_union(
-        [braid_closure(BraidWord(2, w)).raw()[0] for w in ((1, -1), (1, 1))]
+        [braid_closure(BraidWord(2, w)).crossings for w in ((1, -1), (1, 1))]
     )[i]
     for i in (0, 2, 1, 3)
 )
@@ -82,7 +82,7 @@ _INTERLEAVED = tuple(
 # pieces; and the closure of sigma2^-2 sigma1 on 3 strands, whose least
 # stream closes a component (-3) where the first walk meets a crossing
 _RACES = tuple(
-    braid_closure(BraidWord(n, w)).raw()[0]
+    braid_closure(BraidWord(n, w)).crossings
     for n, w in (
         (2, (1,) * 12),
         (2, (-1,) * 4 + (1,) * 8),
@@ -90,7 +90,7 @@ _RACES = tuple(
         (3, (-2, -2, 1)),
     )
 )
-_TWINS = _disjoint_union([braid_closure(BraidWord(3, (1, -2, 1, -2))).raw()[0]] * 2)
+_TWINS = _disjoint_union([braid_closure(BraidWord(3, (1, -2, 1, -2))).crossings] * 2)
 
 
 @contextmanager
@@ -149,7 +149,7 @@ def test_canonical_raw_ignores_arc_labels_and_crossing_order(crossings, free_loo
 
 
 def test_one_negative_crossing_is_walked_once():
-    raw = braid_closure(BraidWord(3, (1, 2, 1, -2, 1, 2))).raw()[0]
+    raw = braid_closure(BraidWord(3, (1, 2, 1, -2, 1, 2))).crossings
     with counted_walks() as starts:
         key = canonical_raw(raw, 0)
     assert len(key[0]) == 1  # one connected piece
@@ -171,7 +171,7 @@ def test_one_walk_per_crossing_of_each_pieces_smallest_sign(crossings):
 def test_keys_of_multi_component_links_are_pinned():
     # literal keys: a changed token or walk-restart rule would rename every
     # memo entry
-    hopf = braid_closure(BraidWord(2, (1, 1))).raw()[0]
+    hopf = braid_closure(BraidWord(2, (1, 1))).crossings
     assert canonical_raw(hopf, 1) == (((2, 3, -3, 4, 5, -3),), 1)
-    chain = braid_closure(BraidWord(3, (1, 1, -2, -2))).raw()[0]
+    chain = braid_closure(BraidWord(3, (1, 1, -2, -2))).crossings
     assert canonical_raw(chain, 0) == (((-2, -1, -3, 4, 2, 3, 5, -3, 6, 7, -3),), 0)

@@ -275,7 +275,7 @@ def test_memo_holds_no_kinks():
         d = braid_closure(_random_word(rng, n, 8))
         for _ in range(rng.randint(0, 2)):
             d = _with_curl(d, rng.choice((1, -1)), rng.randrange(30), rng.random() < 0.5)
-        kinked_roots += any(c[3] == c[2] or c[4] == c[1] for c in d.raw()[0])
+        kinked_roots += any(c[3] == c[2] or c[4] == c[1] for c in d.crossings)
         homfly_framed(d)
     for _ in range(10):
         eval_hecke(random_knitted(rng, 2, 3, 3)[0])
@@ -349,7 +349,7 @@ def test_each_component_starts_from_a_base_of_fewest_violations(closure, seed):
     else:
         k, _ = random_knitted(rng, 3, 3, 3)
         d = compile_diagram(k)
-    raw, _ = d.raw()
+    raw = d.crossings
     assert len(raw) <= 12
     least, expected = _least_violations(raw)
     while True:
