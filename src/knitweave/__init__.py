@@ -7,14 +7,15 @@ The package is organized into small, pure layers:
 - ``braid``: braid words, symmetric-group combinatorics, half- and full-twist
   words.
 - ``hecke``: the type-A Hecke algebra over ``Z[z, z^-1]`` with the positive and
-  negative permutation-braid bases.
+  negative permutation-braid bases, and its Markov trace.
 - ``diagram``: oriented link diagrams as PD codes, Seifert circles and graph,
   planarity verification.
 - ``skein``: framed and unframed HOMFLY evaluation by skein recursion with a
   descending-diagram base case.
 - ``knitted``: knitted templates and diagrams, compiled to PD codes (a braid
   closure is the one-box case), full-twist insertion, the Hecke-expansion
-  evaluation path, and the full-twist theorem verifier.
+  evaluation path (the Markov trace for a closed braid), and the full-twist
+  theorem verifier.
 - ``cli``: the ``knitweave`` command-line front end.
 """
 

@@ -24,10 +24,21 @@ z -> -z keeps the relation sigma_i - sigma_i^-1 = z, is its own inverse and
 sends T_w to U_w (Jones, Ann. Math. 1987). So the NPB coefficients of x are
 the PPB coefficients of phi(x) with z negated, and phi(x) is a sum of U_w.
 
+``closure_trace`` is the Ocneanu trace of H_n (Jones, Ann. Math. 1987;
+Morton-Short, J. Algorithms 1990), normalised as the framed HOMFLY H of the
+closure:
+
+    tr(1_n) = delta^(n-1),    tr(x sigma_(n-1) y) = v^-1 tr(x y)
+
+for x, y in H_(n-1), with delta = (v^-1 - v)/z and tr(1_1) = 1. The first
+rule counts the circles of n closed idle strands, the second the positive
+kink that closes sigma_(n-1); with tr(xy) = tr(yx) and linearity they fix
+tr on all of H_n.
+
 The arithmetic runs on plain maps {w: {z-exponent: int}} with no zero terms;
 only ``expand_word`` and ``convert`` build a ``HeckeElement``, once, from the
-map they end with. Each generator step refuses a map of more than
-``MAX_TERMS`` terms with a ValueError.
+map they end with. Each generator step, and each strand the trace takes
+away, refuses a map of more than ``MAX_TERMS`` terms with a ValueError.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ from knitweave.braid import (
     identity_perm,
     longest_element,
 )
-from knitweave.laurent import LaurentZ
+from knitweave.laurent import LaurentVZ, LaurentZ
 
 __all__ = [
     "HeckeElement",
@@ -50,6 +61,7 @@ __all__ = [
     "NPB",
     "expand_word",
     "convert",
+    "closure_trace",
     "top_coeff",
     "render_element",
 ]
@@ -67,6 +79,8 @@ MAX_TERMS = 40320
 # {perm: {z-exponent: coefficient}}, zero coefficients never stored
 _Poly = dict[int, int]
 _Map = dict[Perm, _Poly]
+# the trace's coefficients, {(v-exponent, z-exponent): coefficient}
+_VZ = dict[tuple[int, int], int]
 
 
 @dataclass(frozen=True)
@@ -158,11 +172,15 @@ def _step(m: _Map, i: int, positive: bool) -> _Map:
                         d[e + 1] = v
                     else:
                         del d[e + 1]
-    if len(out) > MAX_TERMS:
+    _check_size(out)
+    return out
+
+
+def _check_size(m: dict) -> None:
+    if len(m) > MAX_TERMS:
         raise ValueError(
             f"Hecke expansion exceeds the limit of MAX_TERMS = {MAX_TERMS} terms"
         )
-    return out
 
 
 def expand_word(word: BraidWord) -> HeckeElement:
@@ -224,6 +242,61 @@ def convert(x: HeckeElement, target: str) -> HeckeElement:
     if target == PPB:
         return _element(x.strands, PPB, _npb_sum(_map_of(x)))
     return _element(x.strands, NPB, _negate_z(_npb_sum(_negate_z(_map_of(x)))))
+
+
+def _add_shifted(acc: _VZ, a: _VZ, b: _Poly, dv: int) -> None:
+    """acc += v^dv * a * b, in place, dropping terms that cancel."""
+    for (va, za), k1 in a.items():
+        for e, k2 in b.items():
+            key = (va + dv, za + e)
+            v = acc.get(key, 0) + k1 * k2
+            if v:
+                acc[key] = v
+            else:
+                del acc[key]
+
+
+def closure_trace(x: HeckeElement) -> LaurentVZ:
+    """The framed H of the closure of x = sum c_w T_w: sum c_w tr(T_w).
+
+    An element held in the NPB basis is converted first. The trace is
+    linear, so x is taken down one strand at a time as a map
+    {w: coefficient in v and z}. On n strands, say the strand that ends at
+    position n starts at position p (w[p-1] = n), and u is w with n
+    dropped, the other strands in their order:
+
+    - p = n: that strand closes to a circle beside the rest, and
+      tr(T_w) = delta tr(T_u).
+    - p < n: T_w = T_A sigma_(n-1) T_u with A = sigma_p ... sigma_(n-2).
+      The product is reduced, since the strand from p crosses once each
+      strand that starts to its right and no other. So
+      tr(T_w) = v^-1 tr(T_A T_u) = v^-1 tr(T_u T_A), and T_u T_A is
+      expanded by generator steps.
+
+    On one strand only the identity is left, whose trace is 1. Nothing is
+    kept between calls.
+    """
+    level: dict[Perm, _VZ] = {
+        w: {(0, e): k for e, k in c.items()} for w, c in _map_of(convert(x, PPB)).items()
+    }
+    for n in range(x.strands, 1, -1):
+        below: dict[Perm, _VZ] = {}
+        for w, coeff in level.items():
+            p = w.index(n) + 1
+            u = w[: p - 1] + w[p:]
+            if p == n:  # delta = v^-1 z^-1 - v z^-1
+                d = below.setdefault(u, {})
+                _add_shifted(d, coeff, {-1: 1}, -1)
+                _add_shifted(d, coeff, {-1: -1}, 1)
+                continue
+            m: _Map = {u: {0: 1}}
+            for i in range(p, n - 1):
+                m = _step(m, i, True)
+            for y, c in m.items():
+                _add_shifted(below.setdefault(y, {}), coeff, c, -1)
+        level = {y: d for y, d in below.items() if d}
+        _check_size(level)
+    return LaurentVZ(level.get((1,), {}))
 
 
 def top_coeff(x: HeckeElement) -> LaurentZ:

@@ -45,7 +45,7 @@ from knitweave.diagram import (
     _genus_zero,
     _union_find,
 )
-from knitweave.hecke import _add_product, expand_word, top_coeff
+from knitweave.hecke import _add_product, closure_trace, expand_word, top_coeff
 from knitweave.laurent import LaurentVZ, LaurentZ
 from knitweave.skein import homfly_framed
 
@@ -314,12 +314,27 @@ def ft(k: KnittedDiagram) -> KnittedDiagram:
 def eval_hecke(k: KnittedDiagram) -> LaurentVZ:
     """H(k) through the Hecke expansion of every box word.
 
+    A one-box template is a braid closure: its wiring joins each output to
+    the input at the same position, since a Seifert circle that moved to
+    another position would pass through the box twice. Its H is the Markov
+    trace of the box word's expansion, with no diagram compiled and no
+    skein run. A template of several boxes is evaluated by ``_tuple_sum``.
+    Either way the value agrees with evaluating the compiled diagram
+    directly, and nothing is kept between calls.
+    """
+    if len(k.words) == 1:
+        return closure_trace(expand_word(k.words[0]))
+    return _tuple_sum(k)
+
+
+def _tuple_sum(k: KnittedDiagram) -> LaurentVZ:
+    """H(k) as a sum over the tuples of the boxes' basis terms.
+
     Each box word expands in the positive permutation-braid basis; for each
     tuple of basis permutations with nonzero coefficients, the template is
-    compiled with the corresponding reduced words and evaluated, and the
-    coefficient-weighted values are summed. Agrees with evaluating the
-    compiled diagram directly. Keeps nothing between calls: the tuples share
-    only the skein memo.
+    compiled with the corresponding reduced words and evaluated by skein,
+    and the coefficient-weighted values are summed. The tuples share only
+    the skein memo.
     """
     t = k.template
     # per box: each term's reduced word and z-coefficient map, read once

@@ -1,19 +1,21 @@
 """Suite-wide audit: every framed polynomial the engine produces is checked.
 
-For the whole session ``homfly_framed`` is wrapped on every loaded knitweave
-module that binds it, so modules imported later bind the wrapper too. The
-wrapper asserts, at the moment of computation, that the result respects the
-Seifert-circle degree bounds, the v/z parity pattern, and the forced
-extreme-coefficient zeros of single-crossing circle pairs. Small diagrams are
-also collected (deduplicated) so the acceptance suite can replay them through
-the independent naive evaluator.
+For the whole session ``homfly_framed`` and ``knitted.eval_hecke`` are
+wrapped on every loaded knitweave module that binds them, so modules imported
+later bind the wrappers too. A braid closure's ``eval_hecke`` value comes
+from the Hecke trace, not from skein, so it is audited on its own, against
+the compiled diagram. Each wrapper asserts, at the moment of computation,
+that the result respects the Seifert-circle degree bounds, the v/z parity
+pattern, and the forced extreme-coefficient zeros of single-crossing circle
+pairs. Small diagrams are also collected (deduplicated) so the acceptance
+suite can replay them through the independent naive evaluator.
 """
 
 from __future__ import annotations
 
 import sys
 
-from knitweave import skein
+from knitweave import knitted, skein
 from knitweave.diagram import PlanarDiagram, canonical_raw, component_count, seifert_circles
 from knitweave.laurent import LaurentVZ
 from knitweave.skein import mfw_check, mp_vanishing
@@ -62,9 +64,26 @@ def _rebind(old, new) -> None:
                     setattr(mod, attr, new)
 
 
+_real_eval_hecke = knitted.eval_hecke
+
+
+def _audited_eval_hecke(k: knitted.KnittedDiagram) -> LaurentVZ:
+    value = _real_eval_hecke(k)
+    _audit(knitted.compile_diagram(k), value)
+    return value
+
+
+_WRAPPERS = (
+    (_real_homfly_framed, _audited_homfly_framed),
+    (_real_eval_hecke, _audited_eval_hecke),
+)
+
+
 def pytest_configure(config):
-    _rebind(_real_homfly_framed, _audited_homfly_framed)
+    for real, audited in _WRAPPERS:
+        _rebind(real, audited)
 
 
 def pytest_unconfigure(config):
-    _rebind(_audited_homfly_framed, _real_homfly_framed)
+    for real, audited in _WRAPPERS:
+        _rebind(audited, real)

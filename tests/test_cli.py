@@ -11,7 +11,7 @@ import pytest
 
 import knitweave
 from knitweave import cli, hecke, knitted
-from knitweave.braid import BraidWord, half_twist_word
+from knitweave.braid import BraidWord, full_twist_word, half_twist_word
 from knitweave.cli import main, render_table
 from knitweave.gallery import write_showcase_json
 from knitweave.knitted import (
@@ -288,6 +288,17 @@ def test_hecke_expansion_over_the_term_limit_exits_2_and_prints_nothing(monkeypa
         err = capsys.readouterr().err
         assert rc == 2 and out == "", basis
         assert err.startswith("error: ") and "MAX_TERMS = 24" in err and "Traceback" not in err, basis
+
+
+def test_homfly_of_the_9_strand_full_twist_exits_2_at_the_term_limit(capsys):
+    # FT_9 spans more of H_9 than the 8! terms of MAX_TERMS
+    letters = ",".join(map(str, full_twist_word(9).letters))
+    capsys.readouterr()
+    rc, out = run_cli("homfly", "--braid", letters, "--strands", "9")
+    err = capsys.readouterr().err
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and f"MAX_TERMS = {hecke.MAX_TERMS}" in err
+    assert "Traceback" not in err
 
 
 def test_knitted_boxes_above_the_strand_limit_exit_2(tmp_path, monkeypatch, capsys):

@@ -17,6 +17,7 @@ from knitweave.diagram import (
     writhe,
 )
 from knitweave.knitted import (
+    _tuple_sum,
     braid_closure,
     braid_closure_knitted,
     compile_diagram,
@@ -290,14 +291,19 @@ def test_memo_holds_no_kinks():
 def test_memo_sizes_are_pinned():
     # one key per class of pieces up to relabelling: a key that told apart
     # relabellings of one piece, or merged two pieces, would move these, and
-    # so would a change to the crossings the recursion switches (FT_6 through
-    # eval_hecke leaves 1,650 keys)
+    # so would a change to the crossings the recursion switches (the tuple
+    # sum on the FT_6 closure leaves 1,650 keys)
     skein._MEMO.clear()
     homfly_framed(braid_closure(BraidWord(2, (1,) * 40)))
     assert len(skein._MEMO) == 439
+    ft5 = braid_closure_knitted(full_twist_word(5))
     skein._MEMO.clear()
-    eval_hecke(braid_closure_knitted(full_twist_word(5)))
+    _tuple_sum(ft5)
     assert len(skein._MEMO) == 109
+    # a one-box template goes to the Hecke trace, which runs no skein
+    skein._MEMO.clear()
+    eval_hecke(ft5)
+    assert len(skein._MEMO) == 0
 
 
 def _least_violations(raw) -> tuple[int, tuple[int | None, int]]:
