@@ -19,6 +19,22 @@ strands inside a box lie on distinct circles that meet nowhere else, so a
 reduced negative (or positive) permutation braid in a box leaves a
 single-crossing circle pair that kills the corresponding extreme coefficient.
 
+Planarity implies the third condition. Fill every box with the identity
+word, so that strand p runs straight up from in_p to out_p: the port
+rotation puts out_p above in_p, and a planar wiring draws the Seifert
+circles as disjoint simple closed curves on the sphere, each passing upward
+through every box it meets. Suppose a circle C passes through a box twice,
+and take two of its passes, at positions p < q, with no pass of C between
+them. The horizontal segment across the box from the first pass to the
+second meets only strands of other circles, so its interior misses C. By
+the Jordan curve theorem the complement of C has two regions, and the
+oriented curve has one of them on its left and the other on its right all
+along. Both passes run upward, so the segment leaves the pass at p on its
+right side and reaches the pass at q from its left side: it joins the two
+regions without meeting C, which is impossible. So the "twice" check never
+rejects a planar wiring; ``_failures`` keeps it as a cheap pre-filter that
+refuses most random wirings before the ribbon-graph trace runs.
+
 ``KnittedTemplate`` checks every condition when it is built, so a template
 that exists is in the class and nothing downstream checks again.
 ``validate(boxes, wiring)`` reports the failed conditions as data, and the
@@ -31,7 +47,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from random import Random
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from knitweave.braid import (
     BraidWord,
@@ -47,7 +63,7 @@ from knitweave.diagram import (
 )
 from knitweave.hecke import _add_product, closure_trace, expand_word, top_coeff
 from knitweave.laurent import LaurentVZ, LaurentZ
-from knitweave.skein import homfly_framed
+from knitweave.skein import _framed, homfly_framed
 
 __all__ = [
     "Endpoint",
@@ -208,10 +224,13 @@ def _failures(
 
     ``wiring`` must be a bijection from the box outputs to the box inputs, in
     any order. Almost every random wiring already fails a circle check, so the
-    ribbon face trace runs last. The template is checked before the CLI's
-    strand limit, so no step is quadratic in the strands of one box: circles
-    that share two boxes are found through the pairs of boxes each one meets,
-    not by comparing every pair of circles.
+    ribbon face trace runs last. The first circle check, no circle through a
+    box twice, is a cheap pre-filter: planarity implies it (see the module
+    docstring), so it refuses only wirings the face trace would refuse too,
+    but sooner, and sampling runs about twice as fast with it. The template
+    is checked before the CLI's strand limit, so no step is quadratic in the
+    strands of one box: circles that share two boxes are found through the
+    pairs of boxes each one meets, not by comparing every pair of circles.
     """
     circles = _circles(wiring)
     for i, visits in enumerate(circles):
@@ -269,35 +288,85 @@ def _word_crossings(letters: Sequence[int], cur: list[int], fresh: int) -> list[
     return raw
 
 
+class _Fragment(NamedTuple):
+    """One box's word as crossings on the template's wire ids.
+
+    On each position the word touches, the first arc is the input wire and
+    the last the output wire; the arcs between are fresh, numbered from the
+    wire count up, two per letter (``arcs`` in all). ``merges`` pairs the
+    input and output wires of each untouched position, in position order.
+    """
+
+    crossings: tuple[tuple[int, int, int, int, int], ...]
+    merges: tuple[tuple[int, int], ...]
+    arcs: int
+
+
+def _box_wires(t: KnittedTemplate) -> list[tuple[list[int], list[int]]]:
+    """Per box, the wire ids into and out of each position; wire i is
+    ``t.wiring[i]``."""
+    ins = [[0] * n for n in t.boxes]
+    outs = [[0] * n for n in t.boxes]
+    for w_id, ((ob, op), (ib, ip)) in enumerate(t.wiring):
+        outs[ob][op] = w_id
+        ins[ib][ip] = w_id
+    return list(zip(ins, outs))
+
+
+def _fragment(
+    wires: tuple[list[int], list[int]], letters: Sequence[int], n_wires: int
+) -> _Fragment:
+    """The fragment of one box: its word's crossings with the wires joined on."""
+    ins, outs = wires
+    cur = list(ins)
+    raw = _word_crossings(letters, cur, n_wires)
+    # the last arc on a touched position is the wire it leaves the box on
+    last = {a: outs[p] for p, a in enumerate(cur) if a >= n_wires}
+    crossings = tuple(
+        (s, ui, oi, last.get(uo, uo), last.get(oo, oo)) for s, ui, oi, uo, oo in raw
+    )
+    merges = tuple((a, outs[p]) for p, a in enumerate(cur) if a < n_wires)
+    return _Fragment(crossings, merges, 2 * len(letters))
+
+
+def _assemble(n_wires: int, fragments: Sequence[_Fragment]) -> PlanarDiagram:
+    """The PD code of the boxes' fragments joined along the wires.
+
+    Wires joined through an untouched position are one arc, named by its
+    union-find root. Each fragment's fresh arcs are shifted past those of the
+    fragments before it, and the wire classes no crossing uses are free loops.
+    """
+    root = _union_find(n_wires, [m for f in fragments for m in f.merges])
+    crossings: list[Crossing] = []
+    fresh = n_wires
+    for f in fragments:
+        label = root + list(range(fresh, fresh + f.arcs))
+        crossings += [
+            Crossing(s, label[ui], label[oi], label[uo], label[oo])
+            for s, ui, oi, uo, oo in f.crossings
+        ]
+        fresh += f.arcs
+    used = {a for c in crossings for a in c[1:]}
+    return PlanarDiagram(crossings, len(set(root) - used))
+
+
 def compile_diagram(k: KnittedDiagram) -> PlanarDiagram:
-    """PD code of the knitted diagram: box crossings joined per the wiring."""
+    """PD code of the knitted diagram: box crossings joined per the wiring.
+
+    Wire i of the sorted wiring is arc i, and wires joined through a box
+    position no letter touches take their class's union-find root. Each
+    box's word becomes a fragment whose fresh arcs follow the wires, box
+    after box, two per letter; then the fragments are assembled.
+    """
     t = k.template
-    arc_of_out: dict[Endpoint, int] = {}
-    arc_of_in: dict[Endpoint, int] = {}
-    for w_id, (src, dst) in enumerate(t.wiring):
-        arc_of_out[src] = w_id
-        arc_of_in[dst] = w_id
-
-    fresh = len(t.wiring)
-    raw: list[Crossing] = []
-    merges: list[tuple[int, int]] = []
-    for b, word in enumerate(k.words):
-        n = t.boxes[b]
-        cur = [arc_of_in[(b, p)] for p in range(n)]
-        raw += _word_crossings(word.letters, cur, fresh)
-        fresh += 2 * len(word.letters)
-        for p in range(n):
-            merges.append((cur[p], arc_of_out[(b, p)]))
-
-    root = _union_find(fresh, merges)
-    port_arcs = {root[a] for (_, ui, oi, uo, oo) in raw for a in (ui, oi, uo, oo)}
-    free_loops = len(set(root) - port_arcs)
-
-    crossings = [
-        Crossing(s, root[ui], root[oi], root[uo], root[oo])
-        for (s, ui, oi, uo, oo) in raw
-    ]
-    return PlanarDiagram(crossings, free_loops)
+    n_wires = len(t.wiring)
+    return _assemble(
+        n_wires,
+        [
+            _fragment(wires, word.letters, n_wires)
+            for wires, word in zip(_box_wires(t), k.words)
+        ],
+    )
 
 
 def ft(k: KnittedDiagram) -> KnittedDiagram:
@@ -318,39 +387,54 @@ def eval_hecke(k: KnittedDiagram) -> LaurentVZ:
     the input at the same position, since a Seifert circle that moved to
     another position would pass through the box twice. Its H is the Markov
     trace of the box word's expansion, with no diagram compiled and no
-    skein run. A template of several boxes is evaluated by ``_tuple_sum``.
-    Either way the value agrees with evaluating the compiled diagram
-    directly, and nothing is kept between calls.
+    skein run. A template of several boxes is evaluated by ``_tuple_sum``,
+    which turns each box term into a compiled fragment once, assembles one
+    diagram per tuple from the fragments, and checks planarity on the first
+    tuple only. Either way the value agrees with evaluating the compiled
+    diagram directly, and nothing is kept between calls.
     """
     if len(k.words) == 1:
         return closure_trace(expand_word(k.words[0]))
     return _tuple_sum(k)
 
 
-def _tuple_sum(k: KnittedDiagram) -> LaurentVZ:
-    """H(k) as a sum over the tuples of the boxes' basis terms.
+def _tuple_diagrams(k: KnittedDiagram) -> Iterator[tuple[dict[int, int], PlanarDiagram]]:
+    """Each tuple of the boxes' basis terms as (z-coefficient map, diagram).
 
-    Each box word expands in the positive permutation-braid basis; for each
-    tuple of basis permutations with nonzero coefficients, the template is
-    compiled with the corresponding reduced words and evaluated by skein,
-    and the coefficient-weighted values are summed. The tuples share only
-    the skein memo.
+    Each box word expands in the positive permutation-braid basis, and each
+    term's reduced word becomes a fragment once; a tuple's diagram is its
+    fragments assembled, the template compiled with those words, and its
+    coefficient the product of theirs.
     """
     t = k.template
-    # per box: each term's reduced word and z-coefficient map, read once
+    n_wires = len(t.wiring)
     expansions = [
-        [(reduced_word(w), c.terms) for w, c in sorted(expand_word(word).coeffs.items())]
-        for word in k.words
+        [
+            (_fragment(wires, reduced_word(w).letters, n_wires), c.terms)
+            for w, c in sorted(expand_word(word).coeffs.items())
+        ]
+        for wires, word in zip(_box_wires(t), k.words)
     ]
-    total: dict[tuple[int, int], int] = {}
     for combo in itertools.product(*expansions):
         coeff = {0: 1}
         for _, c in combo:
             prod: dict[int, int] = {}
             _add_product(prod, coeff, c)
             coeff = prod
-        words = tuple(w for w, _ in combo)
-        h = homfly_framed(compile_diagram(KnittedDiagram(t, words)))
+        yield coeff, _assemble(n_wires, [f for f, _ in combo])
+
+
+def _tuple_sum(k: KnittedDiagram) -> LaurentVZ:
+    """H(k) as a sum over the tuples of the boxes' basis terms.
+
+    Each tuple's diagram is evaluated by skein, and the coefficient-weighted
+    values are summed; the tuples share only the skein memo. Every tuple
+    diagram has the template's box-and-wire ribbon, which the template
+    checked, so planarity is checked on the first tuple only.
+    """
+    total: dict[tuple[int, int], int] = {}
+    for i, (coeff, d) in enumerate(_tuple_diagrams(k)):
+        h = _framed(d) if i else homfly_framed(d)
         for (v, z), a in h.terms.items():
             for e, b in coeff.items():
                 total[v, z + e] = total.get((v, z + e), 0) + a * b

@@ -35,13 +35,14 @@ with under_out == over_in or over_out == under_in. One routine, ``_remove``,
 takes crossings out by splicing: a smoothing removes a crossing by its two
 oriented splices, and a kink is a smoothing whose curl is not counted as a
 circle, at a factor of v^-sign (a crossing with both equalities leaves one
-free loop). ``homfly_framed`` removes the root's kinks before the first
-lookup. Below the root only a smoothing can make a kink: switching a
-crossing maps the two kink conditions onto each other, splitting into
-pieces keeps every arc label, and only a splice joins two arcs, which can
-close a strand back onto a crossing next to the smoothed one. So the
-routine checks the crossings its splices rename, and removes any kinks, and
-those their removal exposes, before the smoothed child's lookup.
+free loop). ``_framed``, the evaluation ``homfly_framed`` runs after its
+planarity check, removes the root's kinks before the first lookup. Below
+the root only a smoothing can make a kink: switching a crossing maps the
+two kink conditions onto each other, splitting into pieces keeps every arc
+label, and only a splice joins two arcs, which can close a strand back onto
+a crossing next to the smoothed one. So the routine checks the crossings
+its splices rename, and removes any kinks, and those their removal exposes,
+before the smoothed child's lookup.
 
 The memo table is module-level state shared by every evaluation in the
 process; evaluations run one at a time and are deterministic.
@@ -234,6 +235,12 @@ def homfly_framed(d: PlanarDiagram) -> LaurentVZ:
     """The framed HOMFLY polynomial H(d)."""
     if not planarity_check(d):
         raise ValueError("diagram is not planar; framed HOMFLY is undefined on it")
+    return _framed(d)
+
+
+def _framed(d: PlanarDiagram) -> LaurentVZ:
+    """H(d) without the planarity check, for a diagram known to be planar,
+    such as each tuple diagram of ``knitted._tuple_sum``."""
     if not d.crossings and d.free_loops == 0:
         raise ValueError("empty diagram has no HOMFLY value")
     rest, more, w = _remove(d.crossings, None)

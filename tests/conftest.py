@@ -1,14 +1,17 @@
 """Suite-wide audit: every framed polynomial the engine produces is checked.
 
-For the whole session ``homfly_framed`` and ``knitted.eval_hecke`` are
+For the whole session ``skein._framed`` and ``knitted.eval_hecke`` are
 wrapped on every loaded knitweave module that binds them, so modules imported
-later bind the wrappers too. A braid closure's ``eval_hecke`` value comes
-from the Hecke trace, not from skein, so it is audited on its own, against
-the compiled diagram. Each wrapper asserts, at the moment of computation,
-that the result respects the Seifert-circle degree bounds, the v/z parity
-pattern, and the forced extreme-coefficient zeros of single-crossing circle
-pairs. Small diagrams are also collected (deduplicated) so the acceptance
-suite can replay them through the independent naive evaluator.
+later bind the wrappers too. ``_framed`` is the skein evaluation behind both
+``homfly_framed`` and every tuple of ``knitted._tuple_sum``, which checks
+planarity once per call and not once per tuple, so each skein value is
+audited once. A braid closure's ``eval_hecke`` value comes from the Hecke
+trace, not from skein, so it is audited on its own, against the compiled
+diagram. Each wrapper asserts, at the moment of computation, that the result
+respects the Seifert-circle degree bounds, the v/z parity pattern, and the
+forced extreme-coefficient zeros of single-crossing circle pairs. Small
+diagrams are also collected (deduplicated) so the acceptance suite can
+replay them through the independent naive evaluator.
 """
 
 from __future__ import annotations
@@ -47,11 +50,11 @@ def _audit(d: PlanarDiagram, h: LaurentVZ) -> None:
         small_diagrams.setdefault(canonical_raw(d.crossings, d.free_loops), d)
 
 
-_real_homfly_framed = skein.homfly_framed
+_real_framed = skein._framed
 
 
-def _audited_homfly_framed(d: PlanarDiagram) -> LaurentVZ:
-    value = _real_homfly_framed(d)
+def _audited_framed(d: PlanarDiagram) -> LaurentVZ:
+    value = _real_framed(d)
     _audit(d, value)
     return value
 
@@ -74,7 +77,7 @@ def _audited_eval_hecke(k: knitted.KnittedDiagram) -> LaurentVZ:
 
 
 _WRAPPERS = (
-    (_real_homfly_framed, _audited_homfly_framed),
+    (_real_framed, _audited_framed),
     (_real_eval_hecke, _audited_eval_hecke),
 )
 

@@ -126,6 +126,22 @@ def test_multiply_rejects_strand_mismatch():
         naive.multiply(unit(2), unit(3))
 
 
+def test_identity_coefficient_of_a_basis_product_is_the_symmetrising_trace():
+    # tau(T_x T_y) = 1 when y = x^-1 and 0 otherwise, for the trace tau that
+    # reads the identity coefficient, in the normalisation T_s^2 = 1 + z T_s
+    pairs = 0
+    for n in range(1, 5):
+        e = tuple(range(1, n + 1))
+        for x in permutations(e):
+            inverse = tuple(sorted(e, key=lambda i: x[i - 1]))
+            for y in permutations(e):
+                product = naive.multiply(basis_element(n, x), basis_element(n, y))
+                want = ONE if y == inverse else LaurentZ.zero()
+                assert product.coeffs.get(e, LaurentZ.zero()) == want, (x, y)
+                pairs += 1
+    assert pairs == 617
+
+
 def test_expansion_is_a_homomorphism():
     rng = Random(2024)
     for _ in range(60):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -10,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knitweave import knitted
-from knitweave.braid import BraidWord, full_twist_word
-from knitweave.diagram import component_count, planarity_check
+from knitweave.braid import BraidWord, full_twist_word, reduced_word
+from knitweave.diagram import Crossing, PlanarDiagram, component_count, planarity_check
 from knitweave.gallery import showcase_knot
+from knitweave.hecke import expand_word
 from knitweave.knitted import (
     KnittedDiagram,
     KnittedTemplate,
@@ -89,6 +91,29 @@ def test_at_most_once_condition_fails():
     with pytest.raises(TemplateError) as err:
         KnittedTemplate((2,), CROSSED)
     assert any("more than once" in f for f in err.value.report.failures)
+
+
+def test_planarity_implies_no_circle_passes_through_a_box_twice():
+    # the module docstring's proof, checked on every box profile and every
+    # wiring bijection of at most 6 strands in all
+    wirings = twice = 0
+    for total in range(1, 7):
+        for cuts in itertools.product((False, True), repeat=total - 1):
+            boxes = [1]
+            for cut in cuts:
+                if cut:
+                    boxes.append(1)
+                else:
+                    boxes[-1] += 1
+            ends = [(b, p) for b, n in enumerate(boxes) for p in range(n)]
+            for targets in itertools.permutations(ends):
+                wiring = tuple(zip(ends, targets))
+                wirings += 1
+                if any(len(set(v)) < len(v) for v in knitted._circles(wiring)):
+                    twice += 1
+                    assert not knitted._ribbon_planar(boxes, wiring), (boxes, wiring)
+    # 19,488 of them send some circle through a box twice, and none is planar
+    assert (wirings, twice) == (25181, 19488)
 
 
 @st.composite
@@ -172,6 +197,59 @@ def test_compile_with_empty_words_gives_free_loops():
     assert d.free_loops == seifert_count(sk.template) == 7
 
 
+def _compile_in_one_pass(k: KnittedDiagram) -> PlanarDiagram:
+    """The PD code by one union-find over every arc, with no fragments.
+
+    Wire i of the sorted wiring is arc i; each letter makes two fresh arcs,
+    box after box, and the last arc on each position is joined to the wire
+    leaving it, by hanging the first root under the second.
+    """
+    t = k.template
+    out_wire = {src: i for i, (src, _) in enumerate(t.wiring)}
+    in_wire = {dst: i for i, (_, dst) in enumerate(t.wiring)}
+    fresh = len(t.wiring)
+    raw, joins = [], []
+    for b, word in enumerate(k.words):
+        cur = [in_wire[b, p] for p in range(t.boxes[b])]
+        for g in word.letters:
+            left, right = cur[abs(g) - 1], cur[abs(g)]
+            p, q = fresh, fresh + 1
+            raw.append((1, right, left, p, q) if g > 0 else (-1, left, right, q, p))
+            cur[abs(g) - 1], cur[abs(g)] = p, q
+            fresh += 2
+        joins += [(a, out_wire[b, p]) for p, a in enumerate(cur)]
+    parent = list(range(fresh))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for a, b in joins:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    crossings = [Crossing(s, *map(find, arcs)) for s, *arcs in raw]
+    used = {a for c in crossings for a in c[1:]}
+    return PlanarDiagram(crossings, len({find(a) for a in range(fresh)} - used))
+
+
+def test_compile_diagram_matches_a_one_pass_compiler():
+    # assembling per-box fragments names every arc as one union-find over
+    # all of them does, crossing for crossing
+    rng = Random(4242)
+    cases = [showcase_knot(), braid_closure_knitted(BraidWord(1, ()))]
+    for _ in range(60):
+        k, _ = random_knitted(rng, 4, 3, 6)
+        n = rng.randint(2, 5)
+        letters = tuple(
+            rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 9))
+        )
+        cases += [k, ft(k), braid_closure_knitted(BraidWord(n, letters))]
+    for k in cases:
+        assert compile_diagram(k) == _compile_in_one_pass(k)
+
+
 def test_showcase_compiles_to_a_planar_knot():
     d = compile_diagram(showcase_knot())
     assert len(d.crossings) == 12
@@ -221,6 +299,34 @@ def test_eval_hecke_matches_direct_evaluation():
     for _ in range(25):
         k, _ = random_knitted(rng, 3, 3, 4)
         assert eval_hecke(k) == homfly_framed(compile_diagram(k))
+
+
+def test_each_tuple_diagram_is_the_template_compiled_with_its_words():
+    # the tuple sum assembles fragments built once per box term; each tuple's
+    # diagram must be the one compile_diagram builds from the tuple's reduced
+    # words, in the same order, and planar, since the sum checks only the first
+    rng = Random(1717)
+    samples = tuples = 0
+    while samples < 40:
+        k, _ = random_knitted(rng, 4, 3, 4)
+        if len(k.words) < 2:
+            continue
+        samples += 1
+        for side in (k, ft(k)):
+            terms = [sorted(expand_word(w).coeffs.items()) for w in side.words]
+            got = list(knitted._tuple_diagrams(side))
+            combos = list(itertools.product(*terms))
+            assert len(got) == len(combos)
+            for (coeff, d), combo in zip(got, combos):
+                words = tuple(reduced_word(w) for w, _ in combo)
+                assert d == compile_diagram(KnittedDiagram(side.template, words))
+                assert planarity_check(d)
+                want = LaurentZ.one()
+                for _, c in combo:
+                    want = want * c
+                assert LaurentZ(coeff) == want
+            tuples += len(got)
+    assert tuples > 1000
 
 
 def test_direct_skein_matches_eval_hecke_on_large_full_twists():
