@@ -36,6 +36,7 @@ from knitweave.diagram import (
 from knitweave.hecke import NPB, convert, expand_word, render_element
 from knitweave.knitted import (
     KnittedDiagram,
+    _signed_gap,
     braid_closure_knitted,
     compile_diagram,
     eval_hecke,
@@ -202,7 +203,7 @@ def cmd_verify_ft(args: argparse.Namespace, out) -> int:
         print("verdict: PASS", file=out)
         return EXIT_OK
     print("verdict: FAIL", file=out)
-    diff = report.h_minus - report.sign * report.h_plus_ft
+    diff = _signed_gap(report.h_minus, report.h_plus_ft, report.sign)
     print(f"  H-(D) minus signed H+(FT D): {diff}", file=out)
     if not report.fast_matches:
         print(

@@ -61,9 +61,9 @@ from knitweave.diagram import (
     _genus_zero,
     _union_find,
 )
-from knitweave.hecke import _add_product, closure_trace, expand_word, top_coeff
+from knitweave.hecke import _add_product, _add_shifted, closure_trace, expand_word, top_coeff
 from knitweave.laurent import LaurentVZ, LaurentZ
-from knitweave.skein import _framed, homfly_framed
+from knitweave.skein import _framed
 
 __all__ = [
     "Endpoint",
@@ -388,10 +388,10 @@ def eval_hecke(k: KnittedDiagram) -> LaurentVZ:
     another position would pass through the box twice. Its H is the Markov
     trace of the box word's expansion, with no diagram compiled and no
     skein run. A template of several boxes is evaluated by ``_tuple_sum``,
-    which turns each box term into a compiled fragment once, assembles one
-    diagram per tuple from the fragments, and checks planarity on the first
-    tuple only. Either way the value agrees with evaluating the compiled
-    diagram directly, and nothing is kept between calls.
+    which assembles one diagram per tuple from box fragments compiled once,
+    each planar because the template is. Either way the value agrees with
+    evaluating the compiled diagram directly, and nothing is kept between
+    calls.
     """
     if len(k.words) == 1:
         return closure_trace(expand_word(k.words[0]))
@@ -427,17 +427,14 @@ def _tuple_diagrams(k: KnittedDiagram) -> Iterator[tuple[dict[int, int], PlanarD
 def _tuple_sum(k: KnittedDiagram) -> LaurentVZ:
     """H(k) as a sum over the tuples of the boxes' basis terms.
 
-    Each tuple's diagram is evaluated by skein, and the coefficient-weighted
-    values are summed; the tuples share only the skein memo. Every tuple
-    diagram has the template's box-and-wire ribbon, which the template
-    checked, so planarity is checked on the first tuple only.
+    Each tuple's diagram is evaluated by skein and added, times its
+    coefficient, to the total; the tuples share only the skein memo. Every
+    tuple diagram has the template's box-and-wire ribbon, which the template
+    certified planar when it was built, so no tuple is checked again.
     """
     total: dict[tuple[int, int], int] = {}
-    for i, (coeff, d) in enumerate(_tuple_diagrams(k)):
-        h = _framed(d) if i else homfly_framed(d)
-        for (v, z), a in h.terms.items():
-            for e, b in coeff.items():
-                total[v, z + e] = total.get((v, z + e), 0) + a * b
+    for coeff, d in _tuple_diagrams(k):
+        _add_shifted(total, _framed(d).terms, coeff, 0)
     return LaurentVZ(total)
 
 
@@ -480,6 +477,11 @@ class TheoremReport:
         return self.equality_holds and self.fast_matches
 
 
+def _signed_gap(h_minus: LaurentZ, h_plus_ft: LaurentZ, sign: int) -> LaurentZ:
+    """H-(D) minus sign times H+(FT D): zero exactly when the equality holds."""
+    return h_minus - sign * h_plus_ft
+
+
 def verify_theorem(k: KnittedDiagram) -> TheoremReport:
     """Full check of the signed full-twist equality on one knitted diagram."""
     s = seifert_count(k.template)
@@ -497,7 +499,7 @@ def verify_theorem(k: KnittedDiagram) -> TheoremReport:
         h_minus=h_minus,
         h_plus_ft=h_plus_ft,
         fast_h_minus=fast,
-        equality_holds=(h_minus == sign * h_plus_ft),
+        equality_holds=not _signed_gap(h_minus, h_plus_ft, sign),
         fast_matches=(fast == h_minus),
     )
 

@@ -239,8 +239,8 @@ def homfly_framed(d: PlanarDiagram) -> LaurentVZ:
 
 
 def _framed(d: PlanarDiagram) -> LaurentVZ:
-    """H(d) without the planarity check, for a diagram known to be planar,
-    such as each tuple diagram of ``knitted._tuple_sum``."""
+    """H(d) without the planarity check, for a diagram planar by
+    construction, such as each tuple diagram of ``knitted._tuple_sum``."""
     if not d.crossings and d.free_loops == 0:
         raise ValueError("empty diagram has no HOMFLY value")
     rest, more, w = _remove(d.crossings, None)

@@ -4,7 +4,7 @@ For the whole session ``skein._framed`` and ``knitted.eval_hecke`` are
 wrapped on every loaded knitweave module that binds them, so modules imported
 later bind the wrappers too. ``_framed`` is the skein evaluation behind both
 ``homfly_framed`` and every tuple of ``knitted._tuple_sum``, which checks
-planarity once per call and not once per tuple, so each skein value is
+no tuple's planarity, since its template certified it, so each value is
 audited once. A braid closure's ``eval_hecke`` value comes from the Hecke
 trace, not from skein, so it is audited on its own, against the compiled
 diagram. Each wrapper asserts, at the moment of computation, that the result

@@ -193,6 +193,59 @@ def test_random_test_failure_prints_replayable_sample(monkeypatch):
     assert replayed == sampled
 
 
+# an even v-shift that moves every term past the Seifert bounds, and an odd
+# z-shift that breaks the z-parity pattern
+_PAST_BOUNDS = LaurentVZ.monomial(100, 0)
+_ODD_Z = LaurentVZ.monomial(0, 1)
+
+
+def _edit_report(monkeypatch, **edits):
+    """Make cli's verify_theorem return the real report with fields edited."""
+    real = cli.verify_theorem
+
+    def edited(k):
+        r = real(k)
+        return dataclasses.replace(r, **{f: edit(getattr(r, f)) for f, edit in edits.items()})
+
+    monkeypatch.setattr(cli, "verify_theorem", edited)
+
+
+def _scale_framed(monkeypatch, factor):
+    # H(D) reaches the checks twice, as the report's value and as the direct
+    # skein value; scaling both keeps path equivalence and only the D checks see it
+    _edit_report(monkeypatch, framed=factor.__mul__)
+    real = cli.homfly_framed
+    monkeypatch.setattr(cli, "homfly_framed", lambda d: factor * real(d))
+
+
+CAMPAIGN_FAILURES = {
+    "fast extreme coefficient": lambda mp: _edit_report(mp, fast_matches=lambda _: False),
+    "path equivalence": lambda mp: mp.setattr(cli, "homfly_framed", lambda d: LaurentVZ.one()),
+    "mfw bounds on D": lambda mp: _scale_framed(mp, _PAST_BOUNDS),
+    "mfw bounds on FT D": lambda mp: _edit_report(mp, framed_ft=_PAST_BOUNDS.__mul__),
+    "parity on D": lambda mp: _scale_framed(mp, _ODD_Z),
+    "parity on FT D": lambda mp: _edit_report(mp, framed_ft=_ODD_Z.__mul__),
+    "mp soundness (H+)": lambda mp: mp.setattr(cli, "mp_vanishing", lambda d: (True, False)),
+    "mp soundness (H-)": lambda mp: mp.setattr(cli, "mp_vanishing", lambda d: (False, True)),
+}
+
+
+@pytest.mark.parametrize("name", CAMPAIGN_FAILURES)
+def test_random_test_names_each_failed_check(monkeypatch, name):
+    # "theorem equality" is forced by the test above; each other check the
+    # campaign runs must fail alone, by its name, with a replayable sample
+    CAMPAIGN_FAILURES[name](monkeypatch)
+    rc, out = run_cli("random-test", "--seed", "7", "--count", "3")
+    assert rc == 1
+    lines = out.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("first failure: "))
+    head, failed = lines[at].split("): ")
+    assert failed == name
+    seed = int(head.rsplit("seed ", 1)[1])
+    replayed = knitted_from_json(json.loads(lines[at + 1]))
+    assert replayed == random_knitted(Random(seed), 3, 3, 4)[0]
+
+
 def test_random_test_zero_count():
     rc, out = run_cli("random-test", "--count", "0")
     assert rc == 0 and out.strip() == "0/0 pass"

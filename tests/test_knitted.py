@@ -42,6 +42,10 @@ from knitweave.skein import homfly_framed
 # box twice, and not planar around it
 CROSSED = (((0, 0), (0, 1)), ((0, 1), (0, 0)))
 
+# two 2-strand boxes, out p of each wired to in p of the other: planar, but
+# both circles pass through both boxes
+CROSSWISE = tuple(((b, p), (1 - b, p)) for b in (0, 1) for p in (0, 1))
+
 
 def showcase_graph() -> PlaneBipartiteGraph:
     """A plane simple bipartite graph on 6 vertices and 7 edges.
@@ -70,20 +74,10 @@ def test_crossed_closure_wiring_is_rejected_by_planarity():
 
 
 def test_shared_pair_condition_fails():
-    # two 2-strand boxes, both circles passing through both boxes
     with pytest.raises(TemplateError) as err:
-        KnittedTemplate(
-            (2, 2),
-            (
-                ((0, 0), (1, 0)),
-                ((0, 1), (1, 1)),
-                ((1, 0), (0, 0)),
-                ((1, 1), (0, 1)),
-            ),
-        )
+        KnittedTemplate((2, 2), CROSSWISE)
     report = err.value.report
-    assert not report.ok
-    assert any("share boxes" in f for f in report.failures)
+    assert report.failures == ("circles 0 and 1 share boxes [0, 1]",)
 
 
 def test_at_most_once_condition_fails():
@@ -304,7 +298,8 @@ def test_eval_hecke_matches_direct_evaluation():
 def test_each_tuple_diagram_is_the_template_compiled_with_its_words():
     # the tuple sum assembles fragments built once per box term; each tuple's
     # diagram must be the one compile_diagram builds from the tuple's reduced
-    # words, in the same order, and planar, since the sum checks only the first
+    # words, in the same order, and planar: the sum checks no tuple, since
+    # the template certified their shared box-and-wire ribbon when built
     rng = Random(1717)
     samples = tuples = 0
     while samples < 40:
@@ -393,6 +388,24 @@ def test_verify_theorem_on_showcase():
     assert r.h_minus == expected
     assert r.h_plus_ft == expected
     assert r.passed
+
+
+def test_the_comparison_fails_outside_the_class():
+    # the smallest diagram outside the class: the CROSSWISE template, which
+    # breaks only the "share" condition, with empty words. Its FT puts two
+    # full twists between its two circles, so D is the 2-strand unlink and
+    # FT D the closure of sigma_1^4. The comparison verify_theorem makes
+    # must fail on that pair, and pass with one full twist, sigma_1^2.
+    s = 2
+    sign = (-1) ** (s - 1)
+    h_minus = eval_hecke(braid_closure_knitted(BraidWord(2, ()))).coeff_of_v(1 - s)
+    assert h_minus == LaurentZ.term(-1)
+    two_twists = eval_hecke(braid_closure_knitted(BraidWord(2, (1,) * 4)))
+    h_plus_ft = two_twists.coeff_of_v(s - 1)
+    assert h_plus_ft == LaurentZ({-1: -1, 1: -1})
+    assert knitted._signed_gap(h_minus, h_plus_ft, sign) == LaurentZ.term(1, -1)
+    one_twist = eval_hecke(braid_closure_knitted(BraidWord(2, (1, 1))))
+    assert not knitted._signed_gap(h_minus, one_twist.coeff_of_v(s - 1), sign)
 
 
 def test_verify_theorem_checks_the_template_once(monkeypatch):

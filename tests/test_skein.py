@@ -1,7 +1,7 @@
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from canonical_oracle import decode_piece
@@ -17,6 +17,7 @@ from knitweave.diagram import (
     writhe,
 )
 from knitweave.knitted import (
+    KnittedDiagram,
     _tuple_sum,
     braid_closure,
     braid_closure_knitted,
@@ -253,6 +254,72 @@ def test_kinks_and_stabilisations_change_only_the_framing(closure, seed, stabili
     assert homfly_unframed(d) == homfly_unframed(base)
     if len(d.crossings) <= 9:
         assert naive_homfly_framed(d, seed=seed) == h
+
+
+# the fewest strands each braid move needs
+_MOVE_STRANDS = {"R2": 2, "R3": 3, "far swap": 4}
+
+
+def _spliced_move(word: BraidWord, kind: str, at: int, pick: int, signs) -> tuple[BraidWord, BraidWord]:
+    """Two words that differ by one braid move spliced in before letter ``at``.
+
+    R2 inserts a cancelling pair (j, -j); R3 rewrites j, j+1, j as
+    j+1, j, j+1, all of one sign; a far swap exchanges two adjacent letters
+    j and j+2. ``at`` and ``pick``, which chooses j, are taken modulo what
+    the word and its strands allow, so every draw names a move.
+    """
+    n, (e, f) = word.strands, signs
+    j = 1 + pick % (n - _MOVE_STRANDS[kind] + 1)
+    before, after = {
+        "R2": ((), (e * j, -e * j)),
+        "R3": ((e * j, e * (j + 1), e * j), (e * (j + 1), e * j, e * (j + 1))),
+        "far swap": ((e * j, f * (j + 2)), (f * (j + 2), e * j)),
+    }[kind]
+    at %= len(word.letters) + 1
+    head, tail = word.letters[:at], word.letters[at:]
+    return BraidWord(n, head + before + tail), BraidWord(n, head + after + tail)
+
+
+_SIGNS = st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    strands=st.integers(2, 4),
+    letters=st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(0, 2)), max_size=7),
+    kind=st.sampled_from(tuple(_MOVE_STRANDS)),
+    at=st.integers(0, 7),
+    pick=st.integers(0, 2),
+    signs=_SIGNS,
+)
+def test_r2_r3_and_far_swaps_keep_the_closure_value(strands, letters, kind, at, pick, signs):
+    # direct skein on the compiled closures, not the Hecke trace: regular
+    # isotopy and far commutation keep the framed value; at most 10 letters
+    n = max(strands, _MOVE_STRANDS[kind])
+    word = BraidWord(n, tuple(e * (1 + g % (n - 1)) for e, g in letters))
+    before, after = _spliced_move(word, kind, at, pick, signs)
+    assert homfly_framed(braid_closure(before)) == homfly_framed(braid_closure(after))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    box=st.integers(0, 2),
+    kind=st.sampled_from(("R2", "R3")),  # a box of at most 3 strands has no far swap
+    at=st.integers(0, 4),
+    pick=st.integers(0, 1),
+    signs=_SIGNS,
+)
+def test_braid_moves_inside_a_box_keep_the_knitted_value(seed, box, kind, at, pick, signs):
+    k, _ = random_knitted(Random(seed), 3, 3, 4)
+    fits = [b for b, n in enumerate(k.template.boxes) if n >= _MOVE_STRANDS[kind]]
+    assume(fits)
+    b = fits[box % len(fits)]
+    values = []
+    for w in _spliced_move(k.words[b], kind, at, pick, signs):
+        words = k.words[:b] + (w,) + k.words[b + 1 :]
+        values.append(homfly_framed(compile_diagram(KnittedDiagram(k.template, words))))
+    assert values[0] == values[1]
 
 
 def test_cascading_kinks_reduce_to_a_free_loop_at_the_root():
