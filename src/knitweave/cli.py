@@ -11,7 +11,8 @@ be parsed or evaluated (including input deep enough to exhaust Python's
 recursion limit, ``--strands``, ``--max-strands`` or a knitted box above
 ``MAX_STRANDS``, ``--max-boxes`` above ``MAX_BOXES``, ``--max-word-length``
 above ``MAX_WORD_LENGTH``, a Hecke expansion of more than
-``hecke.MAX_TERMS`` terms, template sampling that finds no valid template,
+``hecke.MAX_TERMS`` terms or a knitted tuple sum of more than that many
+tuples, template sampling that finds no valid template,
 a table of more than ``MAX_TABLE_CELLS`` cells, and a coefficient past
 Python's int-to-string digit limit). Argparse exits 2 as
 well when the input flags name no input or more than one.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from random import Random
@@ -250,14 +252,6 @@ def _run_sample(args: argparse.Namespace, index: int) -> tuple[KnittedDiagram, l
 
 
 def cmd_random_test(args: argparse.Namespace, out) -> int:
-    for flag, value, least in (
-        ("--count", args.count, 0),
-        ("--max-boxes", args.max_boxes, 1),
-        ("--max-strands", args.max_strands, 1),
-        ("--max-word-length", args.max_word_length, 0),
-    ):
-        if value < least:
-            raise ValueError(f"{flag} must be at least {least}, got {value}")
     results = [_run_sample(args, i) for i in range(args.count)]
     passed = sum(1 for _, fails, _ in results if not fails)
     print(f"{passed}/{args.count} pass", file=out)
@@ -354,12 +348,17 @@ def main(argv: list[str] | None = None, out=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag, value, most in (
-            ("--strands", getattr(args, "strands", None), MAX_STRANDS),
-            ("--max-strands", getattr(args, "max_strands", None), MAX_STRANDS),
-            ("--max-boxes", getattr(args, "max_boxes", None), MAX_BOXES),
-            ("--max-word-length", getattr(args, "max_word_length", None), MAX_WORD_LENGTH),
+        # every numeric flag, checked before the command builds anything
+        for flag, least, most in (
+            ("--strands", -math.inf, MAX_STRANDS),
+            ("--count", 0, math.inf),
+            ("--max-boxes", 1, MAX_BOXES),
+            ("--max-strands", 1, MAX_STRANDS),
+            ("--max-word-length", 0, MAX_WORD_LENGTH),
         ):
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is not None and value < least:
+                raise ValueError(f"{flag} must be at least {least}, got {value}")
             if value is not None and value > most:
                 raise ValueError(f"{flag} must be at most {most}, got {value}")
         return args.command(args, out)

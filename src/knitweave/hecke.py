@@ -105,14 +105,6 @@ class HeckeElement:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, HeckeElement)
-            and self.strands == other.strands
-            and self.basis == other.basis
-            and self.coeffs == other.coeffs
-        )
-
 
 def _map_of(x: HeckeElement) -> _Map:
     return {w: c.terms for w, c in x.coeffs.items()}
@@ -144,7 +136,12 @@ def _step(m: _Map, i: int, positive: bool) -> _Map:
     MAX_TERMS terms.
     """
     sign = 1 if positive else -1
-    # the two add loops are _add_product's, inlined for speed: a helper call per entry is slower
+    # The two loops below add a polynomial, or its shift by z, into the map in
+    # place: sums, not products. They stay inline because a call per entry
+    # costs more than the sum itself: a _step that called _add_product for
+    # each entry ran the benchmark's hecke_basis operations in a median
+    # 0.51 s against 0.30 s (in-process on a 2-core x86 host, 8 alternating
+    # pairs, 0 of 8 faster).
     out: _Map = {}
     for w, c in m.items():
         p, q = w.index(i), w.index(i + 1)

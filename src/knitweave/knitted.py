@@ -44,6 +44,7 @@ that exists is in the class and nothing downstream checks again.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from random import Random
@@ -61,7 +62,14 @@ from knitweave.diagram import (
     _genus_zero,
     _union_find,
 )
-from knitweave.hecke import _add_product, _add_shifted, closure_trace, expand_word, top_coeff
+from knitweave.hecke import (
+    MAX_TERMS,
+    _add_product,
+    _add_shifted,
+    closure_trace,
+    expand_word,
+    top_coeff,
+)
 from knitweave.laurent import LaurentVZ, LaurentZ
 from knitweave.skein import _framed
 
@@ -392,6 +400,11 @@ def eval_hecke(k: KnittedDiagram) -> LaurentVZ:
     each planar because the template is. Either way the value agrees with
     evaluating the compiled diagram directly, and nothing is kept between
     calls.
+
+    Raises ValueError when a Hecke expansion, a step of the trace, or the
+    tuple sum's count of tuples (the product of the boxes' expansion sizes)
+    exceeds ``hecke.MAX_TERMS``; the tuple count is checked before the first
+    tuple is evaluated.
     """
     if len(k.words) == 1:
         return closure_trace(expand_word(k.words[0]))
@@ -404,7 +417,8 @@ def _tuple_diagrams(k: KnittedDiagram) -> Iterator[tuple[dict[int, int], PlanarD
     Each box word expands in the positive permutation-braid basis, and each
     term's reduced word becomes a fragment once; a tuple's diagram is its
     fragments assembled, the template compiled with those words, and its
-    coefficient the product of theirs.
+    coefficient the product of theirs. Raises ValueError before the first
+    tuple if there are more than MAX_TERMS of them.
     """
     t = k.template
     n_wires = len(t.wiring)
@@ -415,6 +429,11 @@ def _tuple_diagrams(k: KnittedDiagram) -> Iterator[tuple[dict[int, int], PlanarD
         ]
         for wires, word in zip(_box_wires(t), k.words)
     ]
+    tuples = math.prod(map(len, expansions))
+    if tuples > MAX_TERMS:
+        raise ValueError(
+            f"tuple sum over {tuples} tuples exceeds the limit of MAX_TERMS = {MAX_TERMS}"
+        )
     for combo in itertools.product(*expansions):
         coeff = {0: 1}
         for _, c in combo:
@@ -539,27 +558,22 @@ class PlaneBipartiteGraph:
                 )
 
     def bipartition(self) -> tuple[set[int], set[int]]:
-        """Two-color the graph; raises on odd cycles or disconnection."""
-        color: dict[int, int] = {0: 0}
-        queue = [0]
-        adjacency: dict[int, list[int]] = {v: [] for v in range(self.n_vertices)}
-        for u, v in self.edges:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        while queue:
-            u = queue.pop()
-            for v in adjacency[u]:
-                if v not in color:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    raise ValueError("graph is not bipartite")
-        if len(color) != self.n_vertices:
+        """Two-colour the graph; raises on odd cycles or disconnection.
+
+        Vertex n + v stands for "the colour v does not have", so each edge
+        joins each end to the other end's stand-in. An odd cycle through
+        vertex 0's component puts 0 and n in one class; otherwise the classes
+        of 0 and n are the two parts, and a vertex in neither is unreachable.
+        """
+        n = self.n_vertices
+        root = _union_find(2 * n, [p for u, v in self.edges for p in ((u, v + n), (v, u + n))])
+        if n and root[0] == root[n]:
+            raise ValueError("graph is not bipartite")
+        part0 = {v for v in range(n) if root[v] == root[0]}
+        part1 = {v for v in range(n) if root[v] == root[n]}
+        if len(part0) + len(part1) != n:
             raise ValueError("graph is not connected")
-        return (
-            {v for v, c in color.items() if c == 0},
-            {v for v, c in color.items() if c == 1},
-        )
+        return part0, part1
 
 
 def from_bipartite_graph(g: PlaneBipartiteGraph) -> KnittedTemplate:

@@ -8,6 +8,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from test_knitted import trefoil_chain
 
 import knitweave
 from knitweave import cli, hecke, knitted
@@ -37,6 +38,15 @@ def run_cli(*args: str, stdin: str | None = None) -> tuple[int, str]:
     else:
         rc = main(list(args), out=out)
     return rc, out.getvalue()
+
+
+def _refused(capsys, argv, message, stdin=None):
+    """Run argv; check exit 2, an empty stdout and that stderr starts with message."""
+    capsys.readouterr()
+    rc, out = run_cli(*argv, stdin=stdin)
+    err = capsys.readouterr().err
+    assert rc == 2 and out == "", argv
+    assert err.startswith(message) and "Traceback" not in err, (argv, err)
 
 
 def test_homfly_json_trefoil():
@@ -459,6 +469,18 @@ def test_recursion_limit_exits_2_without_traceback(tmp_path, monkeypatch, capsys
     assert err.startswith("error: ") and "recursion limit" in err
     assert "Traceback" not in err
 
+    # the same handler without a deep stack, which a line tracer can follow:
+    # a trace function that hits the recursion limit is switched off
+    def too_deep(d):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "homfly_framed", too_deep)
+    message = (
+        "error: input too deep to evaluate: evaluation exceeded Python's recursion limit "
+        f"({sys.getrecursionlimit()})\n"
+    )
+    _refused(capsys, ("homfly", "--pd", str(pd)), message)
+
 
 def test_parse_failure_exit_codes(tmp_path, capsys):
     rc, _ = run_cli("homfly", "--pd", str(tmp_path / "missing.pd"))
@@ -559,6 +581,62 @@ def test_non_ascii_digits_and_trailing_newlines_exit_2(tmp_path, capsys):
         assert rc == 2 and out == "", argv
         assert err.startswith("error: ") and "Traceback" not in err, argv
     assert run_cli(*ascii_homfly)[0] == 0 and run_cli(*ascii_verify)[0] == 0
+
+
+def test_every_input_branch_exits_2_with_its_message(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    _refused(capsys, ("homfly", "--knitted", str(missing)), f"error: cannot read {missing}: ")
+    broken = tmp_path / "broken.json"
+    broken.write_text("{nope")
+    _refused(capsys, ("homfly", "--knitted", str(broken)), f"error: {broken}: invalid JSON: ")
+    _refused(capsys, ("homfly", "--braid", "1"), "error: --braid requires --strands\n")
+    empty = tmp_path / "empty.pd"
+    empty.write_text("")
+    _refused(capsys, ("homfly", "--pd", str(empty)), "error: empty diagram has no HOMFLY value\n")
+    endpoints = (
+        (["b0.in0", "b0.in0"], "error: endpoint 'b0.in0' should be an out endpoint\n"),
+        (["b0.out0", "b1.in0"], "error: endpoint 'b1.in0' names a box that does not exist\n"),
+    )
+    path = tmp_path / "endpoint.json"
+    for pair, message in endpoints:
+        path.write_text(json.dumps({"boxes": [{"strands": 1, "word": []}], "wiring": [pair]}))
+        _refused(capsys, ("homfly", "--knitted", str(path)), message)
+    keyless = json.dumps({"terms": [{"v": 0, "z": 0}]})
+    _refused(capsys, ("table",), "error: term 0: expected keys 'v', 'z', 'c'\n", stdin=keyless)
+
+
+def test_table_reads_a_file_path(tmp_path):
+    rc, out = run_cli("homfly", "--braid", "1,1,1", "--strands", "2", "--format", "json")
+    framed = json.dumps(json.loads(out)["framed"])
+    path = tmp_path / "framed.json"
+    path.write_text(framed)
+    rc_file, from_file = run_cli("table", str(path))
+    rc_stdin, from_stdin = run_cli("table", stdin=framed)
+    assert rc == rc_file == rc_stdin == 0
+    assert from_file == from_stdin
+    assert any(line.startswith("z^0 ") for line in from_file.splitlines())
+
+
+def test_verify_ft_reports_a_disagreeing_fast_formula(monkeypatch):
+    real = cli.verify_theorem
+    monkeypatch.setattr(
+        cli, "verify_theorem", lambda k: dataclasses.replace(real(k), fast_matches=False)
+    )
+    rc, out = run_cli("verify-ft", "--braid", "1", "--strands", "2")
+    report = real(braid_closure_knitted(BraidWord(2, (1,))))
+    assert rc == 1
+    assert out.splitlines()[-3:] == [
+        "verdict: FAIL",
+        "  H-(D) minus signed H+(FT D): 0",
+        f"  fast formula disagrees: {report.fast_h_minus} vs {report.h_minus}",
+    ]
+
+
+def test_knitted_chain_over_the_tuple_bound_exits_2(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(knitted_to_json(trefoil_chain(16))))
+    message = f"error: tuple sum over 65536 tuples exceeds the limit of MAX_TERMS = {hecke.MAX_TERMS}\n"
+    _refused(capsys, ("homfly", "--knitted", str(path)), message)
 
 
 def test_console_entry_point_runs():

@@ -113,6 +113,24 @@ def test_half_twist_is_single_basis_braid():
         assert x.coeffs == {longest_element(n): ONE}
 
 
+def test_elements_are_equal_exactly_when_strands_basis_and_coefficients_are():
+    x = expand_word(BraidWord(3, (1, -2, 1)))
+    same = HeckeElement(3, PPB, dict(x.coeffs))
+    assert x == same and not x != same
+    w = next(iter(x.coeffs))
+    others = (
+        HeckeElement(3, NPB, x.coeffs),
+        HeckeElement(3, PPB, {**x.coeffs, w: x.coeffs[w] + ONE}),
+        unit(2),
+    )
+    for y in others:
+        assert x != y and not x == y
+    assert x != x.coeffs and unit(1) != 1
+    # an element is mutable underneath: its coefficients are a dict
+    with pytest.raises(TypeError):
+        hash(x)
+
+
 # the product is the naive reference's; the tests below use it as an oracle
 def test_multiply_examples():
     x = expand_word(BraidWord(2, (1,)))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from random import Random
 
@@ -14,7 +15,7 @@ from knitweave import knitted
 from knitweave.braid import BraidWord, full_twist_word, reduced_word
 from knitweave.diagram import Crossing, PlanarDiagram, component_count, planarity_check
 from knitweave.gallery import showcase_knot
-from knitweave.hecke import expand_word
+from knitweave.hecke import MAX_TERMS, expand_word
 from knitweave.knitted import (
     KnittedDiagram,
     KnittedTemplate,
@@ -56,6 +57,19 @@ def showcase_graph() -> PlaneBipartiteGraph:
     edges = ((0, 1), (0, 3), (1, 2), (2, 3), (2, 4), (3, 5), (4, 5))
     rotations = ((0, 1), (2, 0), (4, 3, 2), (5, 1, 3), (6, 4), (5, 6))
     return PlaneBipartiteGraph(6, edges, rotations)
+
+
+def trefoil_chain(edges: int) -> KnittedDiagram:
+    """σ1³ in every box of the template of a path of ``edges`` edges.
+
+    Each box joins two neighbouring circles of the path and nothing else, so
+    the diagram is the connected sum of ``edges`` trefoils, and its tuple sum
+    runs over 2^edges tuples.
+    """
+    rotations = tuple(tuple(e for e in (v - 1, v) if 0 <= e < edges) for v in range(edges + 1))
+    g = PlaneBipartiteGraph(edges + 1, tuple((v, v + 1) for v in range(edges)), rotations)
+    t = from_bipartite_graph(g)
+    return KnittedDiagram(t, tuple(BraidWord(2, (1, 1, 1)) for _ in t.boxes))
 
 
 def test_braid_closure_template_is_valid():
@@ -341,6 +355,23 @@ def test_direct_skein_matches_eval_hecke_on_large_full_twists():
     assert sizes == [19, 27, 22]
 
 
+def test_eval_hecke_on_a_chain_is_the_power_of_the_trefoil():
+    trefoil = eval_hecke(braid_closure_knitted(BraidWord(2, (1, 1, 1))))
+    assert str(trefoil) == "2*v^-1 + v^-1*z^2 - v"
+    power = LaurentVZ.one()
+    for _ in range(10):
+        power = power * trefoil
+    assert eval_hecke(trefoil_chain(10)) == power
+
+
+def test_eval_hecke_refuses_a_tuple_sum_over_max_terms():
+    # 2^16 tuples; the refusal comes before the first one is assembled
+    start = time.monotonic()
+    with pytest.raises(ValueError, match=f"65536 tuples exceeds the limit of MAX_TERMS = {MAX_TERMS}"):
+        eval_hecke(trefoil_chain(16))
+    assert time.monotonic() - start < 5
+
+
 def test_eval_hecke_rejects_invalid_template():
     # the template is refused when it is built, before eval_hecke can see it
     with pytest.raises(TemplateError):
@@ -500,8 +531,68 @@ def test_bipartite_graph_input_validation():
     odd = PlaneBipartiteGraph(
         3, ((0, 1), (1, 2), (2, 0)), ((0, 2), (0, 1), (1, 2))
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="graph is not bipartite"):
         odd.bipartition()
+
+
+def _graph(n: int, edges) -> PlaneBipartiteGraph:
+    """A graph with each vertex's edges in index order as its rotation."""
+    rotations = tuple(tuple(i for i, e in enumerate(edges) if v in e) for v in range(n))
+    return PlaneBipartiteGraph(n, tuple(edges), rotations)
+
+
+def test_bipartition_names_what_breaks_the_two_colouring():
+    # two separate edges
+    with pytest.raises(ValueError, match="graph is not connected"):
+        _graph(4, ((0, 1), (2, 3))).bipartition()
+    # the odd cycle lies outside vertex 0's component, which two-colours
+    with pytest.raises(ValueError, match="graph is not connected"):
+        _graph(5, ((0, 1), (2, 3), (3, 4), (4, 2))).bipartition()
+    # the odd cycle is reachable from vertex 0, and another component exists
+    with pytest.raises(ValueError, match="graph is not bipartite"):
+        _graph(5, ((0, 1), (1, 2), (2, 0), (3, 4))).bipartition()
+    assert _graph(0, ()).bipartition() == (set(), set())
+    # the empty graph gives no box, as the one-vertex graph does
+    with pytest.raises(ValueError, match="at least one box"):
+        from_bipartite_graph(_graph(0, ()))
+
+
+def _brute_bipartition(n: int, edges) -> tuple[set[int], set[int]] | str:
+    """Parts (vertex 0 in the first) or the message, by trying every colouring."""
+    component = {0}
+    while True:
+        grown = component | {v for e in edges if set(e) & component for v in e}
+        if grown == component:
+            break
+        component = grown
+    inner = [e for e in edges if e[0] in component]
+    colourings = [
+        c for c in itertools.product((0, 1), repeat=n)
+        if c[0] == 0 and all(c[u] != c[v] for u, v in inner)
+    ]
+    if not colourings:
+        return "graph is not bipartite"
+    if len(component) < n:
+        return "graph is not connected"
+    (c,) = colourings
+    return {v for v in range(n) if not c[v]}, {v for v in range(n) if c[v]}
+
+
+def test_bipartition_matches_every_colouring_tried():
+    rng = Random(19)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = tuple(rng.sample(pairs, rng.randint(0, min(len(pairs), n + 1))))
+        expected = _brute_bipartition(n, edges)
+        seen.add(expected if isinstance(expected, str) else "parts")
+        try:
+            got = _graph(n, edges).bipartition()
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, (n, edges)
+    assert seen == {"parts", "graph is not bipartite", "graph is not connected"}
 
 
 def test_json_round_trip():
