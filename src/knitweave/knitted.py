@@ -32,8 +32,9 @@ oriented curve has one of them on its left and the other on its right all
 along. Both passes run upward, so the segment leaves the pass at p on its
 right side and reaches the pass at q from its left side: it joins the two
 regions without meeting C, which is impossible. So the "twice" check never
-rejects a planar wiring; ``_failures`` keeps it as a cheap pre-filter that
-refuses most random wirings before the ribbon-graph trace runs.
+rejects a planar wiring. ``_repeats`` decides it, and both ``_failures`` and
+the sampler keep it as a cheap pre-filter that refuses most random wirings
+before the ribbon-graph trace runs.
 
 ``KnittedTemplate`` checks every condition when it is built, so a template
 that exists is in the class and nothing downstream checks again.
@@ -165,27 +166,69 @@ class TemplateError(ValueError):
         self.report = report
 
 
-def _circles(wiring: Sequence[tuple[Endpoint, Endpoint]]) -> list[list[int]]:
+def _flat(
+    boxes: Sequence[int], wiring: Sequence[tuple[Endpoint, Endpoint]]
+) -> tuple[list[int], list[int]]:
+    """The wiring as a permutation of flat endpoint indices, and each index's box.
+
+    Position p of box b is index offset[b] + p, as an output and as an input
+    alike, so ``nxt[i]`` is the input that output i is wired to and, with
+    identity braids, also the output the strand leaves by. The order of the
+    wiring pairs does not matter.
+    """
+    offset = list(itertools.accumulate(boxes, initial=0))
+    nxt = [0] * offset[-1]
+    for (ob, op), (ib, ip) in wiring:
+        nxt[offset[ob] + op] = offset[ib] + ip
+    return nxt, [b for b, n in enumerate(boxes) for _ in range(n)]
+
+
+def _circles(nxt: Sequence[int], box_of: Sequence[int]) -> list[list[int]]:
     """Seifert circles of the wiring: each is the list of boxes it visits.
 
-    With identity braids a strand enters in_p and leaves out_p, so circles
-    are the orbits of wiring followed by identity pass-through, numbered by
-    their smallest endpoint. The order of the wiring pairs does not matter.
+    The circles are the cycles of the flat permutation ``nxt`` (see
+    ``_flat``), numbered by their smallest index.
     """
-    wmap = dict(wiring)
-    seen: set[Endpoint] = set()
+    seen = bytearray(len(nxt))
     circles: list[list[int]] = []
-    for start in sorted(wmap):
-        if start in seen:
+    for start in range(len(nxt)):
+        if seen[start]:
             continue
-        boxes: list[int] = []
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            cur = wmap[cur]  # identity pass-through to the same position
-            boxes.append(cur[0])
-        circles.append(boxes)
+        visits: list[int] = []
+        i = start
+        while not seen[i]:
+            seen[i] = 1
+            i = nxt[i]
+            visits.append(box_of[i])
+        circles.append(visits)
     return circles
+
+
+def _repeats(nxt: Sequence[int], box_of: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(circle, box) each time a Seifert circle meets a box it has already met.
+
+    This decides the condition "no Seifert circle passes through the same box
+    twice": a wiring meets it when nothing is yielded. Circles are numbered
+    as in ``_circles``. The walk is lazy, so a caller that stops at the first
+    pair has followed one circle up to its first repeated box and no further.
+    """
+    seen = bytearray(len(nxt))
+    last = [-1] * len(nxt)  # per box, the last circle that met it
+    circle = 0
+    for start in range(len(nxt)):
+        if seen[start]:
+            continue
+        i = nxt[start]
+        while True:
+            seen[i] = 1
+            b = box_of[i]
+            if last[b] == circle:
+                yield circle, b
+            last[b] = circle
+            if i == start:
+                break
+            i = nxt[i]
+        circle += 1
 
 
 def _ribbon_planar(
@@ -233,20 +276,22 @@ def _failures(
     ``wiring`` must be a bijection from the box outputs to the box inputs, in
     any order. Almost every random wiring already fails a circle check, so the
     ribbon face trace runs last. The first circle check, no circle through a
-    box twice, is a cheap pre-filter: planarity implies it (see the module
-    docstring), so it refuses only wirings the face trace would refuse too,
-    but sooner, and sampling runs about twice as fast with it. The template
-    is checked before the CLI's strand limit, so no step is quadratic in the
-    strands of one box: circles that share two boxes are found through the
-    pairs of boxes each one meets, not by comparing every pair of circles.
+    box twice, is decided by ``_repeats`` and is a cheap pre-filter:
+    planarity implies it (see the module docstring), so it refuses only
+    wirings the face trace would refuse too, but sooner. ``random_template``
+    refuses each try at its first repeated box by ``_repeats`` alone, so only
+    the tries that pass it come here. The template is checked before the
+    CLI's strand limit, so no step is quadratic in the strands of one box:
+    circles that share two boxes are found through the pairs of boxes each
+    one meets, not by comparing every pair of circles.
     """
-    circles = _circles(wiring)
-    for i, visits in enumerate(circles):
-        met = set(visits)
-        if len(met) < len(visits):
-            dups = sorted(b for b in met if visits.count(b) > 1)
-            yield f"circle {i} passes through box(es) {dups} more than once"
-    incidence = [set(visits) for visits in circles]
+    nxt, box_of = _flat(boxes, wiring)
+    twice: dict[int, set[int]] = {}
+    for circle, b in _repeats(nxt, box_of):
+        twice.setdefault(circle, set()).add(b)
+    for circle, dups in twice.items():
+        yield f"circle {circle} passes through box(es) {sorted(dups)} more than once"
+    incidence = [set(visits) for visits in _circles(nxt, box_of)]
     on_pair: dict[tuple[int, int], list[int]] = {}
     for i, met in enumerate(incidence):
         for pair in itertools.combinations(sorted(met), 2):
@@ -274,7 +319,7 @@ def validate(
 
 def seifert_count(t: KnittedTemplate) -> int:
     """Number of Seifert circles of any diagram on this template."""
-    return len(_circles(t.wiring))
+    return len(_circles(*_flat(t.boxes, t.wiring)))
 
 
 def _word_crossings(letters: Sequence[int], cur: list[int], fresh: int) -> list[Crossing]:
@@ -682,9 +727,14 @@ def random_template(
 
     The box profile is drawn first and wirings are resampled for that fixed
     profile; otherwise hard profiles (valid wirings are rare for three
-    3-strand boxes) would be crowded out by easy ones. Each wiring is checked
-    only up to its first failed condition, and a template is built only for
-    the wiring kept. Raises ValueError if no try succeeds.
+    3-strand boxes) would be crowded out by easy ones. Each try shuffles a
+    copy of the flat endpoint indices of the profile (see ``_flat``), and
+    ``random.shuffle`` draws by the length of the list alone, so the rng
+    stream does not depend on what the list holds. A try is refused at the
+    first box that a Seifert circle meets twice, by ``_repeats``, with no
+    wiring built; only a try that passes builds its wiring and is checked by
+    ``_failures``, up to its first failed condition, and a template is built
+    only for the wiring kept. Raises ValueError if no try succeeds.
     """
     total = 0
     for _ in range(20):
@@ -692,11 +742,15 @@ def random_template(
             rng.randint(1, max_strands) for _ in range(rng.randint(1, max_boxes))
         )
         endpoints = [(b, p) for b, n in enumerate(boxes) for p in range(n)]
+        box_of = [b for b, _ in endpoints]
+        order = list(range(len(endpoints)))
         for _ in range(TEMPLATE_TRIES):
             total += 1
-            targets = list(endpoints)
+            targets = order[:]
             rng.shuffle(targets)
-            wiring = tuple(zip(endpoints, targets))
+            if next(_repeats(targets, box_of), None) is not None:
+                continue
+            wiring = tuple(zip(endpoints, [endpoints[j] for j in targets]))
             if next(_failures(boxes, wiring), None) is None:
                 return KnittedTemplate(boxes, wiring), total
     raise ValueError(

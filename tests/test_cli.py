@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -261,6 +262,27 @@ def test_random_test_zero_count():
     assert rc == 0 and out.strip() == "0/0 pass"
 
 
+def test_the_sampled_templates_are_pinned():
+    # the rng stream of the sampler on the campaign pool (seeds 7-10, 15
+    # samples each) and on one 64-box sample: a change to how wirings are
+    # drawn or refused moves these, so it cannot pass unnoticed
+    tries, lines = 0, []
+    for seed in (7, 8, 9, 10):
+        for i in range(15):
+            k, t = random_knitted(Random(cli._sample_seed(seed, i)), 3, 4, 6)
+            tries += t
+            lines.append(json.dumps(knitted_to_json(k)) + "\n")
+    assert tries == 18495
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "e2995693b2f2d6df31b580ef4248ae5f5e9669a7c8eeabc5324c6b07c5734e96"
+    )
+    k, t = random_knitted(Random(cli._sample_seed(1, 0)), 64, 3, 4)
+    assert t == 17471
+    assert hashlib.sha256(json.dumps(knitted_to_json(k)).encode()).hexdigest() == (
+        "fd24114dbe73112625cfd64c7a3bdeb59b2ff19f25d647899ef9dd04216c8f4e"
+    )
+
+
 def test_random_test_rejects_out_of_range_flags(capsys):
     for flag, value in (
         ("--count", "-5"),
@@ -301,7 +323,7 @@ def test_boxes_above_the_limit_exit_2_before_any_sample_is_drawn(monkeypatch, ca
 
 
 def test_template_sampling_exhaustion_exits_2(monkeypatch, capsys):
-    # seed 11 exhausts the default tries too, after about 3 s
+    # seed 11 exhausts the default tries too, after about 1 s
     monkeypatch.setattr(knitted, "TEMPLATE_TRIES", 5)
     rc, out = run_cli("random-test", "--seed", "11", "--count", "1", "--max-boxes", "1",
                       "--max-strands", "32")
@@ -424,6 +446,34 @@ def test_value_past_the_int_string_limit_exits_2(tmp_path):
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
+
+
+class _GoneReader(io.StringIO):
+    """An output whose reader has closed the pipe."""
+
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_output_pipe_exits_1_without_an_error_line(capsys):
+    # a reader that leaves early (`| head`) cuts the output short; the input
+    # was good, so no error line blames it, and the exit is 1 as for EPIPE
+    rc = main(["homfly", "--braid", "1,1,1", "--strands", "2"], out=_GoneReader())
+    assert rc == 1 and capsys.readouterr().err == ""
+    # a process whose stdout is a pipe with no reader: its exit-time flush of
+    # the buffered output raises nothing more
+    src = str(Path(knitweave.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "knitweave.cli", "homfly", "--braid", "1,1,1", "--strands", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1 and proc.stderr == "", proc.stderr
 
 
 def test_invalid_knitted_template_exits_2_at_load(tmp_path, capsys):

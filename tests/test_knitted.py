@@ -103,8 +103,9 @@ def test_at_most_once_condition_fails():
 
 def test_planarity_implies_no_circle_passes_through_a_box_twice():
     # the module docstring's proof, checked on every box profile and every
-    # wiring bijection of at most 6 strands in all
-    wirings = twice = 0
+    # wiring bijection of at most 6 strands in all; the sampler's early-exit
+    # decision refuses exactly the wirings validate reports as "twice"
+    wirings = twice = refused = 0
     for total in range(1, 7):
         for cuts in itertools.product((False, True), repeat=total - 1):
             boxes = [1]
@@ -117,11 +118,17 @@ def test_planarity_implies_no_circle_passes_through_a_box_twice():
             for targets in itertools.permutations(ends):
                 wiring = tuple(zip(ends, targets))
                 wirings += 1
-                if any(len(set(v)) < len(v) for v in knitted._circles(wiring)):
+                nxt, box_of = knitted._flat(boxes, wiring)
+                passes_twice = any(len(set(v)) < len(v) for v in knitted._circles(nxt, box_of))
+                if passes_twice:
                     twice += 1
                     assert not knitted._ribbon_planar(boxes, wiring), (boxes, wiring)
+                refuses = next(knitted._repeats(nxt, box_of), None) is not None
+                refused += refuses
+                reported = any("more than once" in f for f in validate(boxes, wiring).failures)
+                assert refuses == reported == passes_twice, (boxes, wiring)
     # 19,488 of them send some circle through a box twice, and none is planar
-    assert (wirings, twice) == (25181, 19488)
+    assert (wirings, twice, refused) == (25181, 19488, 19488)
 
 
 @st.composite
@@ -138,7 +145,11 @@ def _bijective_wirings(draw):
 @given(_bijective_wirings())
 def test_constructor_refuses_exactly_what_the_sampler_rejects(case):
     boxes, wiring = case
-    if next(knitted._failures(boxes, wiring), None) is None:
+    # the sampler's two steps: the early-exit "twice" walk, then the rest
+    if (
+        next(knitted._repeats(*knitted._flat(boxes, wiring)), None) is None
+        and next(knitted._failures(boxes, wiring), None) is None
+    ):
         KnittedTemplate(boxes, wiring)
     else:
         with pytest.raises(TemplateError) as err:
