@@ -24,21 +24,26 @@ z -> -z keeps the relation sigma_i - sigma_i^-1 = z, is its own inverse and
 sends T_w to U_w (Jones, Ann. Math. 1987). So the NPB coefficients of x are
 the PPB coefficients of phi(x) with z negated, and phi(x) is a sum of U_w.
 
-``closure_trace`` is the Ocneanu trace of H_n (Jones, Ann. Math. 1987;
-Morton-Short, J. Algorithms 1990), normalised as the framed HOMFLY H of the
-closure:
+``_close_last`` closes the last strand of an element. It is the conditional
+expectation E: H_n -> H_(n-1) from which the Ocneanu trace is built (Jones,
+Ann. Math. 1987), weighted as the framed HOMFLY H:
 
-    tr(1_n) = delta^(n-1),    tr(x sigma_(n-1) y) = v^-1 tr(x y)
+    E(x) = delta x,    E(x sigma_(n-1) y) = v^-1 x y
 
-for x, y in H_(n-1), with delta = (v^-1 - v)/z and tr(1_1) = 1. The first
-rule counts the circles of n closed idle strands, the second the positive
-kink that closes sigma_(n-1); with tr(xy) = tr(yx) and linearity they fix
-tr on all of H_n.
+for x, y in H_(n-1), with delta = (v^-1 - v)/z: an idle last strand closes
+to a circle split from the rest, and sigma_(n-1) to a positive kink. Every
+T_w is T_u sigma_(n-1) ... sigma_q with T_u in H_(n-1), so these two rules
+and linearity fix E on all of H_n with no appeal to cyclicity.
+``closure_trace`` (Morton-Short, J. Algorithms 1990) applies E until one
+strand is left, whose circle is the last of the diagram and counts 1.
+``knitted.eval_hecke`` applies the same kernel to every box end wired to
+itself.
 
-The arithmetic runs on plain maps {w: {z-exponent: int}} with no zero terms;
-only ``expand_word`` and ``convert`` build a ``HeckeElement``, once, from the
-map they end with. Each generator step, and each strand the trace takes
-away, refuses a map of more than ``MAX_TERMS`` terms with a ValueError.
+The arithmetic runs on plain maps {w: {z-exponent: int}} with no zero terms,
+and a closure's on maps {w: {(v-exponent, z-exponent): int}}. Only
+``expand_word`` and ``convert`` build a ``HeckeElement``, once, from the map
+they end with. Each generator step, and each strand a closure takes away,
+refuses a map of more than ``MAX_TERMS`` terms with a ValueError.
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ MAX_TERMS = 40320
 # {perm: {z-exponent: coefficient}}, zero coefficients never stored
 _Poly = dict[int, int]
 _Map = dict[Perm, _Poly]
-# the trace's coefficients, {(v-exponent, z-exponent): coefficient}
+# a closure's coefficients, {(v-exponent, z-exponent): coefficient}
 _VZ = dict[tuple[int, int], int]
 
 
@@ -253,46 +258,70 @@ def _add_shifted(acc: _VZ, a: _VZ, b: _Poly, dv: int) -> None:
                 del acc[key]
 
 
+def _close_last(level: dict[Perm, _VZ]) -> dict[Perm, _VZ]:
+    """Close the last strand of sum c_w T_w, a map {w: coefficient in v and z}.
+
+    This is the conditional expectation E: H_n -> H_(n-1) from which the
+    trace is built (Jones, Ann. Math. 1987), weighted as the framed H: n >= 2
+    strands in, n - 1 out. Say the strand that starts at position n ends at
+    q (w[n-1] = q), and u is w with that strand taken out, the others in
+    their order. Then T_w = T_u sigma_(n-1) sigma_(n-2) ... sigma_q, and the
+    product is reduced: the strand from n crosses once each strand that ends
+    to the right of q and no other.
+
+    - q = n: the strand is idle and closes to a circle split from the rest,
+      so E(T_w) = delta T_u.
+    - q < n: E(x sigma_(n-1) y) = v^-1 x y for x, y in H_(n-1), since the
+      closed strand makes a positive kink; so E(T_w) is v^-1 times
+      T_u sigma_(n-2) ... sigma_q, expanded by generator steps.
+
+    Each generator step, and the map returned, is held to ``MAX_TERMS``.
+    """
+    below: dict[Perm, _VZ] = {}
+    for w, coeff in level.items():
+        n, q = len(w), w[-1]
+        u = tuple(x - (x > q) for x in w[:-1])
+        if q == n:  # delta = v^-1 z^-1 - v z^-1
+            d = below.setdefault(u, {})
+            _add_shifted(d, coeff, {-1: 1}, -1)
+            _add_shifted(d, coeff, {-1: -1}, 1)
+            continue
+        m: _Map = {u: {0: 1}}
+        for i in range(n - 2, q - 1, -1):
+            m = _step(m, i, True)
+        for y, c in m.items():
+            _add_shifted(below.setdefault(y, {}), coeff, c, -1)
+    below = {y: d for y, d in below.items() if d}
+    _check_size(below)
+    return below
+
+
+def _flip(level: dict[Perm, _VZ]) -> dict[Perm, _VZ]:
+    """The map under T_w -> T_(w0 w w0), position i -> n + 1 - i.
+
+    Turning a box over about its vertical axis is a rotation of space, so it
+    sends sigma_i to sigma_(n-i) and keeps every crossing sign; the last
+    strand of the turned box is the first strand of the box.
+    """
+    return {tuple(len(w) + 1 - x for x in reversed(w)): c for w, c in level.items()}
+
+
+def _lift(m: _Map) -> dict[Perm, _VZ]:
+    """A map of z-polynomials as a map of v^0-polynomials in v and z."""
+    return {w: {(0, e): k for e, k in c.items()} for w, c in m.items()}
+
+
 def closure_trace(x: HeckeElement) -> LaurentVZ:
     """The framed H of the closure of x = sum c_w T_w: sum c_w tr(T_w).
 
-    An element held in the NPB basis is converted first. The trace is
-    linear, so x is taken down one strand at a time as a map
-    {w: coefficient in v and z}. On n strands, say the strand that ends at
-    position n starts at position p (w[p-1] = n), and u is w with n
-    dropped, the other strands in their order:
-
-    - p = n: that strand closes to a circle beside the rest, and
-      tr(T_w) = delta tr(T_u).
-    - p < n: T_w = T_A sigma_(n-1) T_u with A = sigma_p ... sigma_(n-2).
-      The product is reduced, since the strand from p crosses once each
-      strand that starts to its right and no other. So
-      tr(T_w) = v^-1 tr(T_A T_u) = v^-1 tr(T_u T_A), and T_u T_A is
-      expanded by generator steps.
-
-    On one strand only the identity is left, whose trace is 1. Nothing is
-    kept between calls.
+    An element held in the NPB basis is converted first. ``_close_last``
+    closes one strand at a time until one is left; that strand closes to the
+    last circle of the diagram, which counts 1, so the trace is the
+    coefficient of the identity on one strand. Nothing is kept between calls.
     """
-    level: dict[Perm, _VZ] = {
-        w: {(0, e): k for e, k in c.items()} for w, c in _map_of(convert(x, PPB)).items()
-    }
-    for n in range(x.strands, 1, -1):
-        below: dict[Perm, _VZ] = {}
-        for w, coeff in level.items():
-            p = w.index(n) + 1
-            u = w[: p - 1] + w[p:]
-            if p == n:  # delta = v^-1 z^-1 - v z^-1
-                d = below.setdefault(u, {})
-                _add_shifted(d, coeff, {-1: 1}, -1)
-                _add_shifted(d, coeff, {-1: -1}, 1)
-                continue
-            m: _Map = {u: {0: 1}}
-            for i in range(p, n - 1):
-                m = _step(m, i, True)
-            for y, c in m.items():
-                _add_shifted(below.setdefault(y, {}), coeff, c, -1)
-        level = {y: d for y, d in below.items() if d}
-        _check_size(level)
+    level = _lift(_map_of(convert(x, PPB)))
+    for _ in range(x.strands - 1):
+        level = _close_last(level)
     return LaurentVZ(level.get((1,), {}))
 
 

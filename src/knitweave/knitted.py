@@ -67,11 +67,13 @@ from knitweave.hecke import (
     MAX_TERMS,
     _add_product,
     _add_shifted,
-    closure_trace,
+    _close_last,
+    _flip,
+    _lift,
     expand_word,
     top_coeff,
 )
-from knitweave.laurent import LaurentVZ, LaurentZ
+from knitweave.laurent import LaurentVZ, LaurentZ, delta_pow
 from knitweave.skein import _framed
 
 __all__ = [
@@ -436,44 +438,126 @@ def ft(k: KnittedDiagram) -> KnittedDiagram:
 def eval_hecke(k: KnittedDiagram) -> LaurentVZ:
     """H(k) through the Hecke expansion of every box word.
 
-    A one-box template is a braid closure: its wiring joins each output to
-    the input at the same position, since a Seifert circle that moved to
-    another position would pass through the box twice. Its H is the Markov
-    trace of the box word's expansion, with no diagram compiled and no
-    skein run. A template of several boxes is evaluated by ``_tuple_sum``,
-    which assembles one diagram per tuple from box fragments compiled once,
-    each planar because the template is. Either way the value agrees with
-    evaluating the compiled diagram directly, and nothing is kept between
-    calls.
+    Each box word is expanded in the positive permutation-braid basis, and
+    ``_close_ends`` closes every box end wired to itself by a partial trace,
+    which needs no diagram and no skein. A braid closure closes completely,
+    and so does any template whose boxes close one after another. Whatever
+    boxes remain are summed over the tuples of their basis terms by
+    ``_tuple_sum``, with the closed scalar factored out. Either way the value
+    agrees with evaluating the compiled diagram directly, and nothing is kept
+    between calls.
 
-    Raises ValueError when a Hecke expansion, a step of the trace, or the
-    tuple sum's count of tuples (the product of the boxes' expansion sizes)
-    exceeds ``hecke.MAX_TERMS``; the tuple count is checked before the first
-    tuple is evaluated.
+    Raises ValueError when a Hecke expansion, a step of a closure, or the
+    count of remaining tuples (the product of the remaining boxes' expansion
+    sizes) exceeds ``hecke.MAX_TERMS``; the tuple count is checked before the
+    first tuple is evaluated.
     """
-    if len(k.words) == 1:
-        return closure_trace(expand_word(k.words[0]))
-    return _tuple_sum(k)
+    scalar, rest = _close_ends(_expanded(k))
+    return scalar * _tuple_sum(rest) if rest else scalar
 
 
-def _tuple_diagrams(k: KnittedDiagram) -> Iterator[tuple[dict[int, int], PlanarDiagram]]:
-    """Each tuple of the boxes' basis terms as (z-coefficient map, diagram).
+@dataclass
+class _Box:
+    """One box of a template under reduction.
 
-    Each box word expands in the positive permutation-braid basis, and each
-    term's reduced word becomes a fragment once; a tuple's diagram is its
-    fragments assembled, the template compiled with those words, and its
-    coefficient the product of theirs. Raises ValueError before the first
-    tuple if there are more than MAX_TERMS of them.
+    ``ins[p]`` and ``outs[p]`` are the ids of the wires into and out of
+    position p; wire i is the template's ``wiring[i]``, and a dropped box has
+    none. ``terms`` is the box element {perm: coefficient} in the PPB basis:
+    its coefficients are z-polynomials {e: k} while ``closed`` is false, and
+    polynomials in v and z {(v, z): k} once a strand of the box is closed.
     """
-    t = k.template
-    n_wires = len(t.wiring)
-    expansions = [
-        [
-            (_fragment(wires, reduced_word(w).letters, n_wires), c.terms)
-            for w, c in sorted(expand_word(word).coeffs.items())
-        ]
-        for wires, word in zip(_box_wires(t), k.words)
+
+    ins: list[int]
+    outs: list[int]
+    terms: dict
+    closed: bool = False
+
+
+def _expanded(k: KnittedDiagram) -> list[_Box]:
+    """The boxes of k, each with its word expanded in the PPB basis."""
+    return [
+        _Box(ins, outs, {w: c.terms for w, c in expand_word(word).coeffs.items()})
+        for (ins, outs), word in zip(_box_wires(k.template), k.words)
     ]
+
+
+def _close_ends(boxes: list[_Box]) -> tuple[LaurentVZ, list[_Box]]:
+    """Close every box end wired to itself, until nothing changes.
+
+    Returns the closed scalar and the boxes left, in their order; the boxes
+    are changed in place. The rules:
+
+    - a box whose output at its last position is wired to its own input
+      there gets that strand closed by ``hecke._close_last``;
+    - at its first position, by the same kernel conjugated by the flip
+      w -> w0 w w0: turning the box over about its vertical axis makes its
+      first strand the last and keeps every crossing sign;
+    - a box of one strand is an identity carrying a scalar: its two wires
+      are joined, which may wire another box's end to itself, and it is
+      dropped. If it was wired to itself it is a circle split from the rest,
+      which counts delta, but the last circle of the whole diagram counts 1.
+
+    Why a closure is local: in the box rotation (in_0 ... in_(n-1),
+    out_(n-1) ... out_0) the pairs in_(n-1)/out_(n-1) and out_0/in_0 are
+    cyclically adjacent, so a wire joining either pair bounds an empty
+    one-edge face of the planar template. There a positive crossing
+    x sigma_(n-1) y, with x and y in H_(n-1), closes to a positive kink, and
+    an idle strand to a split circle. Deleting that wire and position, or
+    joining the two wires of a one-strand box, keeps the template in the
+    class, so nothing is validated again.
+    """
+    dest = {w: b for b in boxes for w in b.ins}  # the box each wire enters
+    left = len(boxes)
+    scalar = LaurentVZ.one()
+    todo = list(boxes)
+    while todo:
+        b = todo.pop()
+        while len(b.ins) > 1:
+            end = next((e for e in (-1, 0) if b.ins[e] == b.outs[e]), None)
+            if end is None:
+                break
+            terms = b.terms if b.closed else _lift(b.terms)
+            b.terms = _close_last(terms) if end else _flip(_close_last(_flip(terms)))
+            b.closed = True
+            del b.ins[end], b.outs[end]
+        if len(b.ins) != 1:
+            continue
+        (w_in,), (w_out,) = b.ins, b.outs
+        b.ins, b.outs = [], []
+        left -= 1
+        scalar = scalar * LaurentVZ((b.terms if b.closed else _lift(b.terms)).get((1,), {}))
+        if w_in != w_out:
+            after = dest[w_out]
+            after.ins[after.ins.index(w_out)] = w_in
+            dest[w_in] = after
+            todo.append(after)
+        elif left:
+            scalar = scalar * delta_pow(1)
+    return scalar, [b for b in boxes if b.ins]
+
+
+def _tuple_diagrams(
+    boxes: Sequence[_Box],
+) -> Iterator[tuple[dict[int, int], LaurentVZ | None, PlanarDiagram]]:
+    """Each tuple of the boxes' basis terms as (z-weight, (v, z)-weight, diagram).
+
+    The boxes' wires are renamed 0, 1, ... in the order of their ids, and
+    each basis term's reduced word becomes a fragment once; a tuple's diagram
+    is its fragments assembled, the boxes compiled with those words. Its
+    z-weight is the product of the coefficients of the boxes with no closed
+    strand, and its (v, z)-weight that of the others, or None when every box
+    is unclosed. Raises ValueError before the first tuple if there are more
+    than MAX_TERMS of them.
+    """
+    name = {w: i for i, w in enumerate(sorted(w for b in boxes for w in b.ins))}
+    n_wires = len(name)
+    expansions = []
+    for b in boxes:
+        wires = [name[w] for w in b.ins], [name[w] for w in b.outs]
+        expansions.append([
+            (_fragment(wires, reduced_word(w).letters, n_wires), LaurentVZ(c) if b.closed else c)
+            for w, c in sorted(b.terms.items())
+        ])
     tuples = math.prod(map(len, expansions))
     if tuples > MAX_TERMS:
         raise ValueError(
@@ -481,24 +565,31 @@ def _tuple_diagrams(k: KnittedDiagram) -> Iterator[tuple[dict[int, int], PlanarD
         )
     for combo in itertools.product(*expansions):
         coeff = {0: 1}
+        weight = None
         for _, c in combo:
+            if isinstance(c, LaurentVZ):
+                weight = c if weight is None else weight * c
+                continue
             prod: dict[int, int] = {}
             _add_product(prod, coeff, c)
             coeff = prod
-        yield coeff, _assemble(n_wires, [f for f, _ in combo])
+        yield coeff, weight, _assemble(n_wires, [f for f, _ in combo])
 
 
-def _tuple_sum(k: KnittedDiagram) -> LaurentVZ:
-    """H(k) as a sum over the tuples of the boxes' basis terms.
+def _tuple_sum(boxes: Sequence[_Box]) -> LaurentVZ:
+    """H of the boxes as a sum over the tuples of their basis terms.
 
-    Each tuple's diagram is evaluated by skein and added, times its
-    coefficient, to the total; the tuples share only the skein memo. Every
-    tuple diagram has the template's box-and-wire ribbon, which the template
-    certified planar when it was built, so no tuple is checked again.
+    Each tuple's diagram is evaluated by skein and added, times its weights,
+    to the total; the tuples share only the skein memo. Every tuple diagram
+    has the box-and-wire ribbon of a template in the class, certified planar
+    when the template was built, so no tuple is checked again.
     """
     total: dict[tuple[int, int], int] = {}
-    for coeff, d in _tuple_diagrams(k):
-        _add_shifted(total, _framed(d).terms, coeff, 0)
+    for coeff, weight, d in _tuple_diagrams(boxes):
+        h = _framed(d)
+        if weight is not None:
+            h = h * weight
+        _add_shifted(total, h.terms, coeff, 0)
     return LaurentVZ(total)
 
 

@@ -5,9 +5,9 @@ wrapped on every loaded knitweave module that binds them, so modules imported
 later bind the wrappers too. ``_framed`` is the skein evaluation behind both
 ``homfly_framed`` and every tuple of ``knitted._tuple_sum``, which checks
 no tuple's planarity, since its template certified it, so each value is
-audited once. A braid closure's ``eval_hecke`` value comes from the Hecke
-trace, not from skein, so it is audited on its own, against the compiled
-diagram. Each wrapper asserts, at the moment of computation, that the result
+audited once. The boxes ``eval_hecke`` closes by partial traces reach no
+skein, so every ``eval_hecke`` value is audited on its own, against the
+compiled diagram. Each wrapper asserts, at the moment of computation, that the result
 respects the Seifert-circle degree bounds, the v/z parity pattern, and the
 forced extreme-coefficient zeros of single-crossing circle pairs. Small
 diagrams are also collected (deduplicated) so the acceptance suite can

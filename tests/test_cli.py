@@ -9,13 +9,13 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from test_knitted import trefoil_chain
+from test_knitted import trefoil_chain, trefoil_cycle
 
 import knitweave
 from knitweave import cli, hecke, knitted
 from knitweave.braid import BraidWord, full_twist_word, half_twist_word
 from knitweave.cli import main, render_table
-from knitweave.gallery import write_showcase_json
+from knitweave.gallery import showcase_knot, write_showcase_json
 from knitweave.knitted import (
     braid_closure,
     braid_closure_knitted,
@@ -682,9 +682,53 @@ def test_verify_ft_reports_a_disagreeing_fast_formula(monkeypatch):
     ]
 
 
-def test_knitted_chain_over_the_tuple_bound_exits_2(tmp_path, capsys):
+def test_knitted_chain_of_16_trefoils_closes_box_by_box(tmp_path):
+    # the 16-edge path's boxes close one after another from its ends, so no
+    # tuple is left to count against the bound
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(knitted_to_json(trefoil_chain(16))))
+    trefoil = LaurentVZ({(-1, 0): 2, (-1, 2): 1, (1, 0): -1})
+    power = LaurentVZ.one()
+    for _ in range(16):
+        power = power * trefoil
+    rc, out = run_cli("homfly", "--knitted", str(path), "--format", "json")
+    assert rc == 0 and LaurentVZ.from_json_dict(json.loads(out)["framed"]) == power
+    rc, out = run_cli("verify-ft", "--knitted", str(path))
+    assert rc == 0 and out.splitlines()[-1] == "verdict: PASS"
+
+
+def test_eval_hecke_runs_no_skein_on_a_campaign_batch(monkeypatch):
+    # every D and FT(D) of this batch closes completely, so eval_hecke runs
+    # no skein evaluation (the batch's direct skein on D goes through
+    # skein's own binding); the showcase has no box end wired to itself, so
+    # FT(showcase) keeps its whole tuple sum
+    framed, expanded = knitted._framed, knitted._expanded
+    calls, boxes = [], []
+
+    def counting(d):
+        calls.append(d)
+        return framed(d)
+
+    def recording(k):
+        boxes.append(len(k.words))
+        return expanded(k)
+
+    monkeypatch.setattr(knitted, "_framed", counting)
+    monkeypatch.setattr(knitted, "_expanded", recording)
+    rc, out = run_cli(
+        "random-test", "--seed", "7", "--count", "15", "--max-strands", "4", "--max-word-length", "6"
+    )
+    assert rc == 0 and "15/15 pass" in out.splitlines()
+    assert len(boxes) == 30 and sum(n > 1 for n in boxes) == 22
+    assert calls == []
+    knitted.eval_hecke(knitted.ft(showcase_knot()))
+    assert len(calls) == 384
+
+
+def test_knitted_chain_over_the_tuple_bound_exits_2(tmp_path, capsys):
+    # the 16-edge cycle: the chain of the same length closes completely
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(knitted_to_json(trefoil_cycle(16))))
     message = f"error: tuple sum over 65536 tuples exceeds the limit of MAX_TERMS = {hecke.MAX_TERMS}\n"
     _refused(capsys, ("homfly", "--knitted", str(path)), message)
 

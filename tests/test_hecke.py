@@ -315,3 +315,52 @@ def test_every_generator_step_is_held_to_max_terms(monkeypatch):
     for call in refused:
         with pytest.raises(ValueError, match="MAX_TERMS = 24"):
             call()
+
+
+def _vz(x: HeckeElement) -> dict:
+    """The element as a closure's map {w: {(v-exponent, z-exponent): int}}."""
+    return {w: {(0, e): k for e, k in c.terms.items()} for w, c in x.coeffs.items()}
+
+
+@st.composite
+def _sandwiches(draw):
+    n = draw(st.integers(2, 5))
+    # a and b on the first n - 1 strands
+    inner = st.lists(st.integers(1, n - 2).flatmap(lambda i: st.sampled_from((i, -i))), max_size=3)
+    a, b = (tuple(draw(inner)) if n > 2 else () for _ in range(2))
+    return n, draw(_words(n)), a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sandwiches())
+def test_closing_the_last_strand_is_the_conditional_expectation(case):
+    # E(a x b) = a E(x) b for a, b in H_(n-1), with E(1) = delta and
+    # E(sigma_(n-1)) = v^-1 (pinned below): these fix E on all of H_n, which
+    # H_(n-1) and H_(n-1) sigma_(n-1) H_(n-1) span. Both sides multiply by
+    # the naive reference, E(x) one v-degree at a time.
+    n, x, a, b = case
+    a_n, b_n = (naive.expand_word(BraidWord(n, w)) for w in (a, b))
+    lhs = hecke._close_last(_vz(naive.multiply(naive.multiply(a_n, naive.expand_word(x)), b_n)))
+    a_1, b_1 = (naive.expand_word(BraidWord(n - 1, w)) for w in (a, b))
+    closed = hecke._close_last(_vz(naive.expand_word(x)))
+    rhs: dict = {}
+    for dv in {dv for c in closed.values() for dv, _ in c}:
+        part = {w: LaurentZ({e: k for (d, e), k in c.items() if d == dv}) for w, c in closed.items()}
+        product = naive.multiply(naive.multiply(a_1, HeckeElement(n - 1, PPB, part)), b_1)
+        for w, c in product.coeffs.items():
+            rhs.setdefault(w, {}).update({(dv, e): k for e, k in c.terms.items()})
+    assert lhs == rhs
+
+
+def test_closing_the_last_strand_of_the_unit_and_of_the_last_generator():
+    delta = {(-1, -1): 1, (1, -1): -1}
+    assert hecke._close_last(_vz(unit(3))) == {(1, 2): delta}
+    assert hecke._close_last(_vz(expand_word(BraidWord(3, (2,))))) == {(1, 2): {(-1, 0): 1}}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5).flatmap(_words))
+def test_the_flip_turns_sigma_i_into_sigma_n_minus_i(word):
+    n = word.strands
+    turned = BraidWord(n, tuple((n - abs(g)) * (1 if g > 0 else -1) for g in word.letters))
+    assert hecke._flip(_vz(expand_word(word))) == _vz(expand_word(turned))

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import os
@@ -10,6 +11,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from naive_skein import naive_homfly_framed
 
 from knitweave import knitted
 from knitweave.braid import BraidWord, full_twist_word, reduced_word
@@ -63,11 +65,25 @@ def trefoil_chain(edges: int) -> KnittedDiagram:
     """σ1³ in every box of the template of a path of ``edges`` edges.
 
     Each box joins two neighbouring circles of the path and nothing else, so
-    the diagram is the connected sum of ``edges`` trefoils, and its tuple sum
-    runs over 2^edges tuples.
+    the diagram is the connected sum of ``edges`` trefoils. The circles of
+    the path's two ends pass through one box each, so that box's end is
+    wired to itself, and the boxes close one after another with no tuple
+    left to sum.
     """
     rotations = tuple(tuple(e for e in (v - 1, v) if 0 <= e < edges) for v in range(edges + 1))
     g = PlaneBipartiteGraph(edges + 1, tuple((v, v + 1) for v in range(edges)), rotations)
+    t = from_bipartite_graph(g)
+    return KnittedDiagram(t, tuple(BraidWord(2, (1, 1, 1)) for _ in t.boxes))
+
+
+def trefoil_cycle(edges: int) -> KnittedDiagram:
+    """σ1³ in every box of the template of a cycle of ``edges`` edges, an even count.
+
+    The cycle has no leaf, so no box end is wired to itself: nothing closes,
+    and the tuple sum runs over all 2^edges tuples.
+    """
+    rotations = tuple(((v - 1) % edges, v) for v in range(edges))
+    g = PlaneBipartiteGraph(edges, tuple((v, (v + 1) % edges) for v in range(edges)), rotations)
     t = from_bipartite_graph(g)
     return KnittedDiagram(t, tuple(BraidWord(2, (1, 1, 1)) for _ in t.boxes))
 
@@ -334,10 +350,11 @@ def test_each_tuple_diagram_is_the_template_compiled_with_its_words():
         samples += 1
         for side in (k, ft(k)):
             terms = [sorted(expand_word(w).coeffs.items()) for w in side.words]
-            got = list(knitted._tuple_diagrams(side))
+            got = list(knitted._tuple_diagrams(knitted._expanded(side)))
             combos = list(itertools.product(*terms))
             assert len(got) == len(combos)
-            for (coeff, d), combo in zip(got, combos):
+            for (coeff, weight, d), combo in zip(got, combos):
+                assert weight is None
                 words = tuple(reduced_word(w) for w, _ in combo)
                 assert d == compile_diagram(KnittedDiagram(side.template, words))
                 assert planarity_check(d)
@@ -370,17 +387,133 @@ def test_eval_hecke_on_a_chain_is_the_power_of_the_trefoil():
     trefoil = eval_hecke(braid_closure_knitted(BraidWord(2, (1, 1, 1))))
     assert str(trefoil) == "2*v^-1 + v^-1*z^2 - v"
     power = LaurentVZ.one()
-    for _ in range(10):
+    for edges in range(1, 17):
         power = power * trefoil
-    assert eval_hecke(trefoil_chain(10)) == power
+        if edges in (1, 2, 10, 16):
+            assert eval_hecke(trefoil_chain(edges)) == power, edges
 
 
 def test_eval_hecke_refuses_a_tuple_sum_over_max_terms():
     # 2^16 tuples; the refusal comes before the first one is assembled
     start = time.monotonic()
     with pytest.raises(ValueError, match=f"65536 tuples exceeds the limit of MAX_TERMS = {MAX_TERMS}"):
-        eval_hecke(trefoil_chain(16))
+        eval_hecke(trefoil_cycle(16))
     assert time.monotonic() - start < 5
+
+
+@st.composite
+def trees_and_cycles(draw) -> PlaneBipartiteGraph:
+    """A plane bipartite graph of pendant trees and even cycles.
+
+    An even cycle, or a single vertex, with 4-cycles glued on at vertices
+    and pendant edges hung anywhere. A glued cycle's two edges, and a
+    pendant edge, enter a vertex's rotation next to each other, so the
+    rotations stay planar.
+    """
+    size = draw(st.sampled_from((0, 4, 6)))
+    edges = [(v, (v + 1) % size) for v in range(size)]
+    rotations = [[(v - 1) % size, v] for v in range(size)] or [[]]
+    for _ in range(draw(st.integers(0, 6))):
+        v = draw(st.integers(0, len(rotations) - 1))
+        at = draw(st.integers(0, len(rotations[v])))
+        n, e = len(rotations), len(edges)
+        if draw(st.booleans()):  # a pendant edge to a new vertex
+            edges.append((v, n))
+            rotations[v][at:at] = [e]
+            rotations.append([e])
+        else:  # a 4-cycle v, n, n + 1, n + 2
+            edges += [(v, n), (n, n + 1), (n + 1, n + 2), (n + 2, v)]
+            rotations[v][at:at] = [e, e + 3]
+            rotations += [[e, e + 1], [e + 1, e + 2], [e + 2, e + 3]]
+    if not edges:
+        edges, rotations = [(0, 1)], [[0], [0]]
+    return PlaneBipartiteGraph(len(rotations), tuple(edges), tuple(map(tuple, rotations)))
+
+
+def _core_edges(g: PlaneBipartiteGraph) -> int:
+    """The number of edges left once edges at a leaf are pruned until none is."""
+    edges = set(range(len(g.edges)))
+    while True:
+        degree = collections.Counter(v for e in edges for v in g.edges[e])
+        pruned = {e for e in edges if min(degree[v] for v in g.edges[e]) == 1}
+        if not pruned:
+            return len(edges)
+        edges -= pruned
+
+
+@settings(max_examples=40, deadline=None)
+@given(trees_and_cycles(), st.data())
+def test_eval_hecke_closes_the_trees_and_sums_the_cycles(graph, data):
+    # a leaf's circle meets one box, which closes that end and then has one
+    # strand, so it merges the wires of its other circle and is dropped: the
+    # closures prune the graph's leaves, and the boxes left to the tuple sum
+    # are the edges that pruning never reaches
+    t = from_bipartite_graph(graph)
+    words = tuple(
+        BraidWord(2, tuple(data.draw(st.lists(st.sampled_from((1, -1)), max_size=3))))
+        for _ in t.boxes
+    )
+    k = KnittedDiagram(t, words)
+    _, rest = knitted._close_ends(knitted._expanded(k))
+    assert len(rest) == _core_edges(graph)
+    assert not any(b.closed for b in rest)
+    assert eval_hecke(k) == homfly_framed(compile_diagram(k))
+
+
+def three_strand_leaf(leaf: int) -> KnittedTemplate:
+    """Boxes of 3, 2, 2 and 2 strands whose circles make a 4-cycle A, B, D, C.
+
+    The circle at box A's position ``leaf``, its first (0) or its last (2),
+    meets no other box, so that position's output is wired to its input and
+    no other box end is wired to itself.
+    """
+    a, b = (1, 2) if leaf == 0 else (0, 1)
+    return KnittedTemplate(
+        (3, 2, 2, 2),
+        (
+            ((0, leaf), (0, leaf)),
+            ((0, a), (1, 0)),
+            ((1, 0), (0, a)),
+            ((0, b), (2, 1)),
+            ((2, 1), (0, b)),
+            ((1, 1), (3, 1)),
+            ((3, 1), (1, 1)),
+            ((2, 0), (3, 0)),
+            ((3, 0), (2, 0)),
+        ),
+    )
+
+
+def _letters(strands: int, max_size: int):
+    letter = st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    return st.lists(letter, max_size=max_size)
+
+
+@pytest.mark.parametrize("leaf", (0, 2), ids=("first", "last"))
+@settings(max_examples=30, deadline=None)
+@given(_letters(3, 5), st.lists(_letters(2, 2), min_size=3, max_size=3))
+def test_a_closed_box_stays_in_the_tuple_sum_with_v_weights(leaf, first, others):
+    # box A closes one end and keeps two strands, so the tuple sum weights
+    # its terms by polynomials in v and z; at the first position the closure
+    # goes through the flip, which on three strands is no identity
+    t = three_strand_leaf(leaf)
+    k = KnittedDiagram(t, (BraidWord(3, tuple(first)),) + tuple(BraidWord(2, tuple(w)) for w in others))
+    _, rest = knitted._close_ends(knitted._expanded(k))
+    assert [(len(b.ins), b.closed) for b in rest] == [(2, True)] + [(2, False)] * 3
+    d = compile_diagram(k)
+    assert eval_hecke(k) == homfly_framed(d) == naive_homfly_framed(d)
+
+
+def test_a_split_template_counts_its_last_circle_once():
+    # two braid closures side by side: each closes to one circle, and only
+    # the last circle of the whole diagram counts 1; the other counts delta
+    t = KnittedTemplate((2, 3), tuple(((b, p), (b, p)) for b, n in enumerate((2, 3)) for p in range(n)))
+    a, b = BraidWord(2, (1, 1, 1)), BraidWord(3, (1, -2, 1, -2))
+    k = KnittedDiagram(t, (a, b))
+    split = delta_pow(1) * eval_hecke(braid_closure_knitted(a)) * eval_hecke(braid_closure_knitted(b))
+    assert eval_hecke(k) == split == homfly_framed(compile_diagram(k))
+    empty = KnittedDiagram(t, (BraidWord(2, ()), BraidWord(3, ())))
+    assert eval_hecke(empty) == delta_pow(4)
 
 
 def test_eval_hecke_rejects_invalid_template():

@@ -18,6 +18,7 @@ from knitweave.diagram import (
 )
 from knitweave.knitted import (
     KnittedDiagram,
+    _expanded,
     _tuple_sum,
     braid_closure,
     braid_closure_knitted,
@@ -365,9 +366,9 @@ def test_memo_sizes_are_pinned():
     assert len(skein._MEMO) == 439
     ft5 = braid_closure_knitted(full_twist_word(5))
     skein._MEMO.clear()
-    _tuple_sum(ft5)
+    _tuple_sum(_expanded(ft5))
     assert len(skein._MEMO) == 109
-    # a one-box template goes to the Hecke trace, which runs no skein
+    # a one-box template closes strand by strand, which runs no skein
     skein._MEMO.clear()
     eval_hecke(ft5)
     assert len(skein._MEMO) == 0

@@ -1,9 +1,10 @@
 """The Markov trace of ``hecke`` against the other routes to a closed braid's H.
 
-``eval_hecke`` sends a one-box template to ``closure_trace``; its value must
-equal the tuple sum over the same one-box diagram, direct skein, the naive
-skein oracle and the T(2,k) recurrence, and must change under the Markov
-moves as the framed H of the closure does.
+``eval_hecke`` closes a one-box template strand by strand, as
+``closure_trace`` does; its value must equal the tuple sum over the same
+one-box diagram, direct skein, the naive skein oracle and the T(2,k)
+recurrence, and must change under the Markov moves as the framed H of the
+closure does.
 """
 
 from itertools import permutations
@@ -17,7 +18,7 @@ from naive_skein import naive_homfly_framed
 from knitweave import hecke
 from knitweave.braid import BraidWord, full_twist_word
 from knitweave.hecke import NPB, PPB, HeckeElement, closure_trace, convert, expand_word
-from knitweave.knitted import _tuple_sum, braid_closure, braid_closure_knitted, eval_hecke
+from knitweave.knitted import _expanded, _tuple_sum, braid_closure, braid_closure_knitted, eval_hecke
 from knitweave.laurent import LaurentVZ, LaurentZ, delta_pow
 from knitweave.skein import homfly_framed
 
@@ -44,7 +45,7 @@ def _h(word: BraidWord) -> LaurentVZ:
 @example(BraidWord(5, (-4, 3, -2, 1, 4, -3, 2, -1, 3, -4)))
 def test_trace_matches_the_tuple_sum_direct_skein_and_the_naive_oracle(word):
     h = _h(word)
-    assert h == _tuple_sum(braid_closure_knitted(word))
+    assert h == _tuple_sum(_expanded(braid_closure_knitted(word)))
     d = braid_closure(word)
     assert h == homfly_framed(d)
     assert h == naive_homfly_framed(d)
@@ -80,11 +81,12 @@ def test_stabilisation_and_an_idle_strand_scale_h(word, sign):
 
 
 def test_the_trace_holds_each_level_to_max_terms(monkeypatch):
-    # 20 terms on 6 strands, each one strand down T_u sigma_4 = T_(s_4 u) + z T_u
-    # with u on one side of s_4 and s_4 u on the other: every generator step
-    # stays within 24 terms, the 5-strand level holds 40
+    # 20 terms on 6 strands whose last strand ends at 4, each one strand down
+    # v^-1 T_u sigma_4 = v^-1 (T_(s_4 u) + z T_u) with u on one side of s_4
+    # and s_4 u on the other: every generator step stays within 24 terms,
+    # the 5-strand level holds 40
     monkeypatch.setattr(hecke, "MAX_TERMS", 24)
-    ws = [w for w in permutations(range(1, 7)) if w[3] == 6 and w.index(5) < w.index(4)]
+    ws = [w for w in permutations(range(1, 7)) if w[5] == 4 and w.index(6) < w.index(5)]
     x = HeckeElement(6, PPB, {w: LaurentZ.one() for w in ws[:20]})
     with pytest.raises(ValueError, match="MAX_TERMS = 24"):
         closure_trace(x)
