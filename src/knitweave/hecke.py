@@ -39,11 +39,13 @@ strand is left, whose circle is the last of the diagram and counts 1.
 ``knitted.eval_hecke`` applies the same kernel to every box end wired to
 itself.
 
-The arithmetic runs on plain maps {w: {z-exponent: int}} with no zero terms,
-and a closure's on maps {w: {(v-exponent, z-exponent): int}}. Only
-``expand_word`` and ``convert`` build a ``HeckeElement``, once, from the map
-they end with. Each generator step, and each strand a closure takes away,
-refuses a map of more than ``MAX_TERMS`` terms with a ValueError.
+The arithmetic runs on plain maps with no zero terms: generator steps and
+basis changes on z-maps {w: {z-exponent: int}}, closures on (v, z)-maps
+{w: {(v-exponent, z-exponent): int}}, which ``_lift`` makes from z-maps.
+``_add_vz`` is the one (v, z) product. Only ``expand_word`` and
+``convert`` build a ``HeckeElement``, once, from the map they end with.
+Each generator step, and each strand a closure takes away, refuses a map
+of more than ``MAX_TERMS`` terms with a ValueError.
 """
 
 from __future__ import annotations
@@ -246,11 +248,11 @@ def convert(x: HeckeElement, target: str) -> HeckeElement:
     return _element(x.strands, NPB, _negate_z(_npb_sum(_negate_z(_map_of(x)))))
 
 
-def _add_shifted(acc: _VZ, a: _VZ, b: _Poly, dv: int) -> None:
-    """acc += v^dv * a * b, in place, dropping terms that cancel."""
+def _add_vz(acc: _VZ, a: _VZ, b: _VZ) -> None:
+    """acc += a * b in v and z, in place, dropping terms that cancel."""
     for (va, za), k1 in a.items():
-        for e, k2 in b.items():
-            key = (va + dv, za + e)
+        for (vb, zb), k2 in b.items():
+            key = (va + vb, za + zb)
             v = acc.get(key, 0) + k1 * k2
             if v:
                 acc[key] = v
@@ -281,16 +283,14 @@ def _close_last(level: dict[Perm, _VZ]) -> dict[Perm, _VZ]:
     for w, coeff in level.items():
         n, q = len(w), w[-1]
         u = tuple(x - (x > q) for x in w[:-1])
-        if q == n:  # delta = v^-1 z^-1 - v z^-1
-            d = below.setdefault(u, {})
-            _add_shifted(d, coeff, {-1: 1}, -1)
-            _add_shifted(d, coeff, {-1: -1}, 1)
+        if q == n:  # delta = (v^-1 - v)/z
+            _add_vz(below.setdefault(u, {}), coeff, {(-1, -1): 1, (1, -1): -1})
             continue
         m: _Map = {u: {0: 1}}
         for i in range(n - 2, q - 1, -1):
             m = _step(m, i, True)
-        for y, c in m.items():
-            _add_shifted(below.setdefault(y, {}), coeff, c, -1)
+        for y, c in m.items():  # times v^-1, for the kink
+            _add_vz(below.setdefault(y, {}), coeff, {(-1, e): k for e, k in c.items()})
     below = {y: d for y, d in below.items() if d}
     _check_size(below)
     return below

@@ -65,8 +65,7 @@ from knitweave.diagram import (
 )
 from knitweave.hecke import (
     MAX_TERMS,
-    _add_product,
-    _add_shifted,
+    _add_vz,
     _close_last,
     _flip,
     _lift,
@@ -405,6 +404,60 @@ def _assemble(n_wires: int, fragments: Sequence[_Fragment]) -> PlanarDiagram:
     return PlanarDiagram(crossings, len(set(root) - used))
 
 
+def _tuple_sum(boxes: Sequence[_Box]) -> LaurentVZ:
+    """H of the boxes as a sum over the tuples of their basis terms.
+
+    The boxes' wires are renamed 0, 1, ... in the order of their ids, and
+    each basis term's reduced word becomes a fragment once. The sum nests
+    box by box, in ``itertools.product`` order: each level adds its term's
+    coefficient times the sum of the levels inside it, so a tuple costs one
+    product, and the innermost assembles the chosen fragments (the boxes
+    compiled with those words) and evaluates them by skein. A box of one
+    term is a fixed fragment and a factor, so only boxes of two or more
+    terms make a level, at most 15 under ``MAX_TERMS``. The tuples share
+    only the skein memo, and none is checked for planarity: each has the
+    box-and-wire ribbon of a template certified when it was built. Raises
+    ValueError before the first tuple if there are more than MAX_TERMS.
+    """
+    name = {w: i for i, w in enumerate(sorted(w for b in boxes for w in b.ins))}
+    n_wires = len(name)
+    tuples = math.prod(len(b.terms) for b in boxes)
+    if tuples > MAX_TERMS:
+        raise ValueError(
+            f"tuple sum over {tuples} tuples exceeds the limit of MAX_TERMS = {MAX_TERMS}"
+        )
+    if not tuples:
+        return LaurentVZ()
+    chosen: list[_Fragment] = []  # each box's fragment in the tuple at hand
+    levels = []  # (box index, [(fragment, coefficient)]) per box of 2+ terms
+    factor = {(0, 0): 1}  # the product of the one-term boxes' coefficients
+    for i, b in enumerate(boxes):
+        wires = [name[w] for w in b.ins], [name[w] for w in b.outs]
+        terms = [
+            (_fragment(wires, reduced_word(w).letters, n_wires), c)
+            for w, c in sorted(b.terms.items())
+        ]
+        chosen.append(terms[0][0])
+        if len(terms) > 1:
+            levels.append((i, terms))
+        else:
+            prod: dict[tuple[int, int], int] = {}
+            _add_vz(prod, factor, terms[0][1])
+            factor = prod
+    return LaurentVZ(factor) * LaurentVZ(_nest(levels, chosen, n_wires, 0))
+
+
+def _nest(levels: list, chosen: list[_Fragment], n_wires: int, depth: int) -> dict:
+    """The sum over the levels from ``depth`` in, the fragments outside as ``chosen``."""
+    if depth == len(levels):
+        return _framed(_assemble(n_wires, chosen)).terms
+    i, terms = levels[depth]
+    total: dict[tuple[int, int], int] = {}
+    for chosen[i], c in terms:
+        _add_vz(total, c, _nest(levels, chosen, n_wires, depth + 1))
+    return total
+
+
 def compile_diagram(k: KnittedDiagram) -> PlanarDiagram:
     """PD code of the knitted diagram: box crossings joined per the wiring.
 
@@ -438,14 +491,14 @@ def ft(k: KnittedDiagram) -> KnittedDiagram:
 def eval_hecke(k: KnittedDiagram) -> LaurentVZ:
     """H(k) through the Hecke expansion of every box word.
 
-    Each box word is expanded in the positive permutation-braid basis, and
-    ``_close_ends`` closes every box end wired to itself by a partial trace,
-    which needs no diagram and no skein. A braid closure closes completely,
-    and so does any template whose boxes close one after another. Whatever
-    boxes remain are summed over the tuples of their basis terms by
-    ``_tuple_sum``, with the closed scalar factored out. Either way the value
-    agrees with evaluating the compiled diagram directly, and nothing is kept
-    between calls.
+    Each box word is expanded in the positive permutation-braid basis, with
+    coefficients in v and z, and ``_close_ends`` closes every box end wired
+    to itself by a partial trace, which needs no diagram and no skein. A
+    braid closure closes completely, and so does any template whose boxes
+    close one after another. Whatever boxes remain are summed over the
+    tuples of their basis terms by ``_tuple_sum``, with the closed scalar
+    factored out. Either way the value agrees with evaluating the compiled
+    diagram directly, and nothing is kept between calls.
 
     Raises ValueError when a Hecke expansion, a step of a closure, or the
     count of remaining tuples (the product of the remaining boxes' expansion
@@ -462,21 +515,20 @@ class _Box:
 
     ``ins[p]`` and ``outs[p]`` are the ids of the wires into and out of
     position p; wire i is the template's ``wiring[i]``, and a dropped box has
-    none. ``terms`` is the box element {perm: coefficient} in the PPB basis:
-    its coefficients are z-polynomials {e: k} while ``closed`` is false, and
-    polynomials in v and z {(v, z): k} once a strand of the box is closed.
+    none. ``terms`` is the box element in the PPB basis, a map
+    {perm: {(v-exponent, z-exponent): coefficient}}: an expanded word's
+    coefficients hold v^0 only, and closing a strand brings in other powers.
     """
 
     ins: list[int]
     outs: list[int]
     terms: dict
-    closed: bool = False
 
 
 def _expanded(k: KnittedDiagram) -> list[_Box]:
     """The boxes of k, each with its word expanded in the PPB basis."""
     return [
-        _Box(ins, outs, {w: c.terms for w, c in expand_word(word).coeffs.items()})
+        _Box(ins, outs, _lift({w: c.terms for w, c in expand_word(word).coeffs.items()}))
         for (ins, outs), word in zip(_box_wires(k.template), k.words)
     ]
 
@@ -516,16 +568,14 @@ def _close_ends(boxes: list[_Box]) -> tuple[LaurentVZ, list[_Box]]:
             end = next((e for e in (-1, 0) if b.ins[e] == b.outs[e]), None)
             if end is None:
                 break
-            terms = b.terms if b.closed else _lift(b.terms)
-            b.terms = _close_last(terms) if end else _flip(_close_last(_flip(terms)))
-            b.closed = True
+            b.terms = _close_last(b.terms) if end else _flip(_close_last(_flip(b.terms)))
             del b.ins[end], b.outs[end]
         if len(b.ins) != 1:
             continue
         (w_in,), (w_out,) = b.ins, b.outs
         b.ins, b.outs = [], []
         left -= 1
-        scalar = scalar * LaurentVZ((b.terms if b.closed else _lift(b.terms)).get((1,), {}))
+        scalar = scalar * LaurentVZ(b.terms.get((1,), {}))
         if w_in != w_out:
             after = dest[w_out]
             after.ins[after.ins.index(w_out)] = w_in
@@ -534,63 +584,6 @@ def _close_ends(boxes: list[_Box]) -> tuple[LaurentVZ, list[_Box]]:
         elif left:
             scalar = scalar * delta_pow(1)
     return scalar, [b for b in boxes if b.ins]
-
-
-def _tuple_diagrams(
-    boxes: Sequence[_Box],
-) -> Iterator[tuple[dict[int, int], LaurentVZ | None, PlanarDiagram]]:
-    """Each tuple of the boxes' basis terms as (z-weight, (v, z)-weight, diagram).
-
-    The boxes' wires are renamed 0, 1, ... in the order of their ids, and
-    each basis term's reduced word becomes a fragment once; a tuple's diagram
-    is its fragments assembled, the boxes compiled with those words. Its
-    z-weight is the product of the coefficients of the boxes with no closed
-    strand, and its (v, z)-weight that of the others, or None when every box
-    is unclosed. Raises ValueError before the first tuple if there are more
-    than MAX_TERMS of them.
-    """
-    name = {w: i for i, w in enumerate(sorted(w for b in boxes for w in b.ins))}
-    n_wires = len(name)
-    expansions = []
-    for b in boxes:
-        wires = [name[w] for w in b.ins], [name[w] for w in b.outs]
-        expansions.append([
-            (_fragment(wires, reduced_word(w).letters, n_wires), LaurentVZ(c) if b.closed else c)
-            for w, c in sorted(b.terms.items())
-        ])
-    tuples = math.prod(map(len, expansions))
-    if tuples > MAX_TERMS:
-        raise ValueError(
-            f"tuple sum over {tuples} tuples exceeds the limit of MAX_TERMS = {MAX_TERMS}"
-        )
-    for combo in itertools.product(*expansions):
-        coeff = {0: 1}
-        weight = None
-        for _, c in combo:
-            if isinstance(c, LaurentVZ):
-                weight = c if weight is None else weight * c
-                continue
-            prod: dict[int, int] = {}
-            _add_product(prod, coeff, c)
-            coeff = prod
-        yield coeff, weight, _assemble(n_wires, [f for f, _ in combo])
-
-
-def _tuple_sum(boxes: Sequence[_Box]) -> LaurentVZ:
-    """H of the boxes as a sum over the tuples of their basis terms.
-
-    Each tuple's diagram is evaluated by skein and added, times its weights,
-    to the total; the tuples share only the skein memo. Every tuple diagram
-    has the box-and-wire ribbon of a template in the class, certified planar
-    when the template was built, so no tuple is checked again.
-    """
-    total: dict[tuple[int, int], int] = {}
-    for coeff, weight, d in _tuple_diagrams(boxes):
-        h = _framed(d)
-        if weight is not None:
-            h = h * weight
-        _add_shifted(total, h.terms, coeff, 0)
-    return LaurentVZ(total)
 
 
 def extreme_minus_fast(k: KnittedDiagram) -> LaurentZ:

@@ -3,7 +3,8 @@
 Coefficients are Python ints, so arithmetic is exact at any size (full-twist
 evaluations routinely produce five-digit coefficients). Values are immutable
 by convention and canonical: zero coefficients are never stored, so equal
-polynomials always carry identical term maps.
+polynomials always carry identical term maps. The constructors store any
+integer (anything with ``__index__``) as an int, and refuse a float.
 
 The canonical term order used for serialization and rendering is ascending
 v-exponent, then ascending z-exponent.
@@ -12,6 +13,7 @@ v-exponent, then ascending z-exponent.
 from __future__ import annotations
 
 import re
+from operator import index
 from typing import Mapping, TypeVar
 
 __all__ = ["LaurentZ", "LaurentVZ", "delta_pow"]
@@ -85,7 +87,7 @@ class LaurentZ(_Laurent):
     __slots__ = ()
 
     def __init__(self, terms: Mapping[int, int] | None = None) -> None:
-        self._terms = {int(e): int(c) for e, c in (terms or {}).items() if c}
+        self._terms = {index(e): k for e, c in (terms or {}).items() if (k := index(c))}
 
     @classmethod
     def one(cls) -> LaurentZ:
@@ -124,7 +126,9 @@ class LaurentVZ(_Laurent):
     __slots__ = ()
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None) -> None:
-        self._terms = {(int(v), int(z)): int(c) for (v, z), c in (terms or {}).items() if c}
+        self._terms = {
+            (index(v), index(z)): k for (v, z), c in (terms or {}).items() if (k := index(c))
+        }
 
     @classmethod
     def one(cls) -> LaurentVZ:

@@ -3,15 +3,16 @@
 For the whole session ``skein._framed`` and ``knitted.eval_hecke`` are
 wrapped on every loaded knitweave module that binds them, so modules imported
 later bind the wrappers too. ``_framed`` is the skein evaluation behind both
-``homfly_framed`` and every tuple of ``knitted._tuple_sum``, which checks
-no tuple's planarity, since its template certified it, so each value is
-audited once. The boxes ``eval_hecke`` closes by partial traces reach no
-skein, so every ``eval_hecke`` value is audited on its own, against the
-compiled diagram. Each wrapper asserts, at the moment of computation, that the result
-respects the Seifert-circle degree bounds, the v/z parity pattern, and the
-forced extreme-coefficient zeros of single-crossing circle pairs. Small
-diagrams are also collected (deduplicated) so the acceptance suite can
-replay them through the independent naive evaluator.
+``homfly_framed`` and every tuple of ``knitted._tuple_sum``, whose innermost
+level evaluates each tuple's diagram with it and checks no tuple's
+planarity, since its template certified it, so each value is audited once.
+The boxes ``eval_hecke`` closes by partial traces reach no skein, so every
+``eval_hecke`` value is audited on its own, against the compiled diagram.
+Each wrapper asserts, at the moment of computation, that the result respects
+the Seifert-circle degree bounds, the v/z parity pattern, and the forced
+extreme-coefficient zeros of single-crossing circle pairs. Small diagrams
+are also collected (deduplicated) so the acceptance suite can replay them
+through the independent naive evaluator.
 """
 
 from __future__ import annotations

@@ -76,15 +76,22 @@ def trefoil_chain(edges: int) -> KnittedDiagram:
     return KnittedDiagram(t, tuple(BraidWord(2, (1, 1, 1)) for _ in t.boxes))
 
 
-def trefoil_cycle(edges: int) -> KnittedDiagram:
-    """σ1³ in every box of the template of a cycle of ``edges`` edges, an even count.
+def cycle_template(edges: int) -> KnittedTemplate:
+    """The template of a cycle of ``edges`` edges, an even count: one
+    2-strand box per edge.
 
-    The cycle has no leaf, so no box end is wired to itself: nothing closes,
-    and the tuple sum runs over all 2^edges tuples.
+    The cycle has no leaf, so no box end is wired to itself and nothing
+    closes.
     """
     rotations = tuple(((v - 1) % edges, v) for v in range(edges))
     g = PlaneBipartiteGraph(edges, tuple((v, (v + 1) % edges) for v in range(edges)), rotations)
-    t = from_bipartite_graph(g)
+    return from_bipartite_graph(g)
+
+
+def trefoil_cycle(edges: int) -> KnittedDiagram:
+    """σ1³ in every box of ``cycle_template(edges)``: the tuple sum runs over
+    all 2^edges tuples."""
+    t = cycle_template(edges)
     return KnittedDiagram(t, tuple(BraidWord(2, (1, 1, 1)) for _ in t.boxes))
 
 
@@ -336,11 +343,21 @@ def test_eval_hecke_matches_direct_evaluation():
         assert eval_hecke(k) == homfly_framed(compile_diagram(k))
 
 
-def test_each_tuple_diagram_is_the_template_compiled_with_its_words():
+def test_each_tuple_diagram_is_the_template_compiled_with_its_words(monkeypatch):
     # the tuple sum assembles fragments built once per box term; each tuple's
     # diagram must be the one compile_diagram builds from the tuple's reduced
-    # words, in the same order, and planar: the sum checks no tuple, since
-    # the template certified their shared box-and-wire ribbon when built
+    # words, in product order, and planar: the sum checks no tuple, since
+    # the template certified their shared box-and-wire ribbon when built.
+    # The sum must weight each tuple's value by its terms' coefficients.
+    framed = knitted._framed
+    seen = []
+
+    def recording(d):
+        h = framed(d)
+        seen.append((d, h))
+        return h
+
+    monkeypatch.setattr(knitted, "_framed", recording)
     rng = Random(1717)
     samples = tuples = 0
     while samples < 40:
@@ -350,19 +367,21 @@ def test_each_tuple_diagram_is_the_template_compiled_with_its_words():
         samples += 1
         for side in (k, ft(k)):
             terms = [sorted(expand_word(w).coeffs.items()) for w in side.words]
-            got = list(knitted._tuple_diagrams(knitted._expanded(side)))
+            seen.clear()
+            total = knitted._tuple_sum(knitted._expanded(side))
             combos = list(itertools.product(*terms))
-            assert len(got) == len(combos)
-            for (coeff, weight, d), combo in zip(got, combos):
-                assert weight is None
+            assert len(seen) == len(combos)
+            want = LaurentVZ()
+            for (d, h), combo in zip(seen, combos):
                 words = tuple(reduced_word(w) for w, _ in combo)
                 assert d == compile_diagram(KnittedDiagram(side.template, words))
                 assert planarity_check(d)
-                want = LaurentZ.one()
+                weight = LaurentZ.one()
                 for _, c in combo:
-                    want = want * c
-                assert LaurentZ(coeff) == want
-            tuples += len(got)
+                    weight = weight * c
+                want = want + h * LaurentVZ({(0, e): c for e, c in weight.terms.items()})
+            assert total == want
+            tuples += len(seen)
     assert tuples > 1000
 
 
@@ -456,7 +475,7 @@ def test_eval_hecke_closes_the_trees_and_sums_the_cycles(graph, data):
     k = KnittedDiagram(t, words)
     _, rest = knitted._close_ends(knitted._expanded(k))
     assert len(rest) == _core_edges(graph)
-    assert not any(b.closed for b in rest)
+    assert all(len(b.ins) == 2 for b in rest)
     assert eval_hecke(k) == homfly_framed(compile_diagram(k))
 
 
@@ -499,9 +518,32 @@ def test_a_closed_box_stays_in_the_tuple_sum_with_v_weights(leaf, first, others)
     t = three_strand_leaf(leaf)
     k = KnittedDiagram(t, (BraidWord(3, tuple(first)),) + tuple(BraidWord(2, tuple(w)) for w in others))
     _, rest = knitted._close_ends(knitted._expanded(k))
-    assert [(len(b.ins), b.closed) for b in rest] == [(2, True)] + [(2, False)] * 3
+    assert [len(b.ins) for b in rest] == [2] * 4
     d = compile_diagram(k)
     assert eval_hecke(k) == homfly_framed(d) == naive_homfly_framed(d)
+
+
+@pytest.mark.parametrize("leaf", (0, 2), ids=("first", "last"))
+@settings(max_examples=20, deadline=None)
+@given(_letters(3, 5))
+def test_one_term_boxes_stay_in_the_tuple_sum_beside_a_closed_box(leaf, first):
+    # the empty 2-strand words expand to one term each, so those boxes are
+    # fixed fragments and factors of the sum, and only box A's terms vary
+    t = three_strand_leaf(leaf)
+    k = KnittedDiagram(t, (BraidWord(3, tuple(first)),) + (BraidWord(2, ()),) * 3)
+    _, rest = knitted._close_ends(knitted._expanded(k))
+    assert [len(b.ins) for b in rest] == [2] * 4
+    assert [len(b.terms) for b in rest[1:]] == [1] * 3
+    d = compile_diagram(k)
+    assert eval_hecke(k) == homfly_framed(d) == naive_homfly_framed(d)
+
+
+def test_a_long_cycle_of_one_term_boxes_is_one_tuple():
+    # 2,000 boxes with empty words make one tuple of 2,000 circles; a sum
+    # that nested one level per box would exceed the recursion limit
+    t = cycle_template(2000)
+    k = KnittedDiagram(t, tuple(BraidWord(2, ()) for _ in t.boxes))
+    assert eval_hecke(k) == delta_pow(1999)
 
 
 def test_a_split_template_counts_its_last_circle_once():

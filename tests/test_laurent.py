@@ -155,6 +155,33 @@ def test_json_rejects_malformed_terms():
     )
 
 
+class _Index:
+    """An integer type that is not an int, as a numpy integer is."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def __index__(self):
+        return self.k
+
+
+def test_constructors_take_integers_only():
+    # a float coefficient was truncated (0.5 stored a zero term that printed
+    # "-0"), and a float exponent rounded (z^1.7 became z)
+    for bad in ({(0, 0): 0.5}, {(0, 0.0): 1}, {(1.7, 0): 2}):
+        with pytest.raises(TypeError):
+            LaurentVZ(bad)
+    for bad in ({0: 0.5}, {1.7: 2}, {0: 1.0}):
+        with pytest.raises(TypeError):
+            LaurentZ(bad)
+    vz = LaurentVZ({(_Index(1), True): _Index(3), (0, 0): _Index(0), (2, 2): False})
+    assert vz == LaurentVZ.monomial(1, 1, 3)
+    assert all(type(x) is int for (v, z), c in vz.terms.items() for x in (v, z, c))
+    z = LaurentZ({_Index(-2): True, 5: _Index(0)})
+    assert z == LaurentZ.term(-2)
+    assert all(type(x) is int for e, c in z.terms.items() for x in (e, c))
+
+
 def test_laurent_z_shift_and_embed():
     p = LaurentZ({0: 2, 2: 1})
     assert p.shifted(-6).terms == {-6: 2, -4: 1}
