@@ -4,7 +4,10 @@ Coefficients are Python ints, so arithmetic is exact at any size (full-twist
 evaluations routinely produce five-digit coefficients). Values are immutable
 by convention and canonical: zero coefficients are never stored, so equal
 polynomials always carry identical term maps. The constructors store any
-integer (anything with ``__index__``) as an int, and refuse a float.
+integer (anything with ``__index__``) as an int, and refuse a float. The
+arithmetic drops its own zero terms and stores its results through
+``_wrap``, which checks nothing: the terms of a clean polynomial are ints
+already.
 
 The canonical term order used for serialization and rendering is ascending
 v-exponent, then ascending z-exponent.
@@ -54,6 +57,13 @@ class _Laurent:
     def zero(cls: type[_L]) -> _L:
         return cls()
 
+    @classmethod
+    def _wrap(cls: type[_L], terms: dict) -> _L:
+        """A polynomial holding ``terms`` itself: int keys and values, no zeros."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
+
     @property
     def terms(self) -> dict:
         """A copy of the exponent -> coefficient map (zero terms absent)."""
@@ -66,13 +76,17 @@ class _Laurent:
         return isinstance(other, type(self)) and self._terms == other._terms
 
     def __neg__(self: _L) -> _L:
-        return type(self)({k: -c for k, c in self._terms.items()})
+        return self._wrap({k: -c for k, c in self._terms.items()})
 
     def __add__(self: _L, other: _L) -> _L:
         out = dict(self._terms)
         for k, c in other._terms.items():
-            out[k] = out.get(k, 0) + c
-        return type(self)(out)
+            c += out.get(k, 0)
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+        return self._wrap(out)
 
     def __sub__(self: _L, other: _L) -> _L:
         return self + (-other)
@@ -102,17 +116,17 @@ class LaurentZ(_Laurent):
 
     def shifted(self, k: int) -> LaurentZ:
         """Multiply by ``z^k``."""
-        return LaurentZ({e + k: c for e, c in self._terms.items()})
+        return LaurentZ._wrap({e + k: c for e, c in self._terms.items()})
 
     def __mul__(self, other: LaurentZ | int) -> LaurentZ:
         if isinstance(other, int):
-            return LaurentZ({e: c * other for e, c in self._terms.items()})
+            return LaurentZ._wrap({e: c * other for e, c in self._terms.items()} if other else {})
         out: dict[int, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentZ(out)
+        return LaurentZ._wrap({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -153,13 +167,13 @@ class LaurentVZ(_Laurent):
 
     def __mul__(self, other: LaurentVZ | int) -> LaurentVZ:
         if isinstance(other, int):
-            return LaurentVZ({k: c * other for k, c in self._terms.items()})
+            return LaurentVZ._wrap({k: c * other for k, c in self._terms.items()} if other else {})
         out: dict[tuple[int, int], int] = {}
         for (v1, z1), c1 in self._terms.items():
             for (v2, z2), c2 in other._terms.items():
                 k = (v1 + v2, z1 + z2)
                 out[k] = out.get(k, 0) + c1 * c2
-        return LaurentVZ(out)
+        return LaurentVZ._wrap({k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 

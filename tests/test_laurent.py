@@ -91,6 +91,25 @@ def test_ring_axioms_on_random_inputs():
         assert a * (b + c) == a * b + a * c
 
 
+def test_arithmetic_stores_no_zero_coefficient():
+    # results skip the constructor's checks, so each operation drops its own
+    # zero terms; a stored zero would make equal polynomials compare unequal
+    v, z = LaurentVZ.monomial(1, 0), LaurentVZ.monomial(0, 1)
+    cases = [(v + z) * (v - z), (v + z) + (-v), v - v, (v + z) * 0, 0 * v, (v - z) * -3]
+    rng = Random(99)
+    for _ in range(100):
+        a, b = _random_poly(rng), _random_poly(rng)
+        cases += [a * b, a + b, a - a, a * rng.randint(-2, 2), -a]
+    x = LaurentZ({0: 1, 1: 1})
+    y = LaurentZ({0: 1, 1: -1})
+    cases += [x * y, x + (-x), x * 0, y * -2, (x - y).shifted(-3), x * y - LaurentZ({0: 1})]
+    assert (v + z) * (v - z) == LaurentVZ({(2, 0): 1, (0, 2): -1})
+    assert x * y == LaurentZ({0: 1, 2: -1}) and not x * 0 and not (v + z) * 0
+    for p in cases:
+        assert 0 not in p.terms.values(), p
+        assert p == type(p)(p.terms)
+
+
 def test_delta_pow_is_multiplicative():
     rng = Random(7)
     for _ in range(30):
