@@ -46,19 +46,38 @@ strand is left, whose circle is the last of the diagram and counts 1.
 ``knitted.eval_hecke`` applies the same kernel to every box end wired to
 itself.
 
-The arithmetic runs on plain maps with no zero terms: generator steps and
-basis changes on z-maps {w: {z-exponent: int}}, closures on (v, z)-maps
-{w: {(v-exponent, z-exponent): int}}, which ``_lift`` makes from z-maps.
-``_add_vz`` is the one (v, z) product. Only ``expand_word`` and
-``convert`` build a ``HeckeElement``, once, from the map they end with.
-Each generator step, and each strand a closure takes away, refuses a map
-of more than ``MAX_TERMS`` terms with a ValueError.
+Generator steps and basis changes run on packed maps {w: int}: each
+z-polynomial sum_e c_e z^e is stored as the one integer sum_e c_e 2^(B e),
+its value at z = 2^B (Kronecker substitution), with the exponents offset so
+that none is negative. Packing is a ring map, so adding two polynomials is
+adding two ints and multiplying by z is a shift by B bits; a generator step
+costs two int additions per term. The digits are balanced (signed), and
+an int decodes to exactly one polynomial whose coefficients all lie
+strictly between -2^(B-1) and 2^(B-1): its constant term is the int's
+residue mod 2^B taken in that range, and the int less that term is the
+rest times 2^B. So the width B is fixed from a bound on the coefficients
+that the computation reaches:
+
+- an expansion of L letters: a generator step sends c T_w to at most two
+  terms of coefficient +-c, so the absolute values of all coefficients sum
+  to at most 2^L, and B = L + 2 is wide enough;
+- a basis change: each U_w is a product of l(w) <= n(n-1)/2 inverse
+  generators, so its coefficients sum in absolute value to at most
+  2^(n(n-1)/2), and B = bits(sum of the input's |c|) + n(n-1)/2 + 2.
+
+Every intermediate polynomial obeys the same bound, so an int is 0 only
+when its polynomial is, and the steps drop such terms. Closures run on
+plain (v, z)-maps {w: {(v-exponent, z-exponent): int}}, which ``_lift``
+makes from an element; ``_add_vz`` is the one (v, z) product. Only
+``expand_word`` and ``convert`` build a ``HeckeElement``, once, from the
+map they end with. Each generator step, and each strand a closure takes
+away, refuses a map of more than ``MAX_TERMS`` terms with a ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from knitweave.braid import (
     BraidWord,
@@ -93,6 +112,8 @@ MAX_TERMS = 40320
 # {perm: {z-exponent: coefficient}}, zero coefficients never stored
 _Poly = dict[int, int]
 _Map = dict[Perm, _Poly]
+# {perm: z-polynomial packed into an int} (see the module docstring), no zeros
+_Packed = dict[Perm, int]
 # a closure's coefficients, {(v-exponent, z-exponent): coefficient}
 _VZ = dict[tuple[int, int], int]
 
@@ -128,49 +149,64 @@ def _element(n: int, basis: str, m: _Map) -> HeckeElement:
     return HeckeElement(n, basis, {w: LaurentZ(c) for w, c in m.items() if c})
 
 
-def _step(m: _Map, i: int, positive: bool) -> _Map:
-    """m . sigma_i^(+-1) as a new map; m and its polynomials are not changed.
+def _pack(m: _Map, width: int, low: int) -> _Packed:
+    """Each polynomial of m times z^-low, at z = 2^width."""
+    return {w: sum(k << width * (e - low) for e, k in c.items()) for w, c in m.items()}
 
-    The z-term of the quadratic relation is a shift of exponents by one. It
+
+def _unpack(c: int, width: int, low: int) -> _Poly:
+    """The polynomial that ``_pack`` stores as c at this width and offset.
+
+    The lowest digit is the balanced residue of c mod 2^width, and taking it
+    off leaves a multiple of 2^width; the digits below c's lowest set bit
+    are 0 and are skipped at once. A loop over the digits costs less here
+    than slicing ``to_bytes``, whose fixed cost per call dominates the short
+    coefficients that closures decode.
+    """
+    out: _Poly = {}
+    if not c:
+        return out
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    e = ((c & -c).bit_length() - 1) // width
+    c >>= e * width
+    e += low
+    while c:
+        k = c & mask
+        if k >= half:
+            k -= mask + 1
+        if k:
+            out[e] = k
+        c = (c - k) >> width
+        e += 1
+    return out
+
+
+def _step(m: _Packed, i: int, positive: bool, width: int) -> _Packed:
+    """m . sigma_i^(+-1) as a new packed map; m is not changed.
+
+    The z-term of the quadratic relation is a shift by ``width`` bits. It
     appears on a positive letter that shortens w and, negated, on a negative
     letter that lengthens it; with a negative letter that shortens w the
-    z-terms cancel exactly. Raises ValueError if the result has more than
-    MAX_TERMS terms.
+    z-terms cancel exactly. Terms that cancel are dropped. Raises ValueError
+    if the result has more than MAX_TERMS terms.
     """
-    sign = 1 if positive else -1
-    # The two loops below add a polynomial, or its shift by z, into the map in
-    # place: sums, not products. They stay inline because a call per entry
-    # costs more than the sum itself: a _step that made a helper call for
-    # each entry ran the benchmark's hecke_basis operations in a median
-    # 0.51 s against 0.30 s (in-process on a 2-core x86 host, 8 alternating
-    # pairs, 0 of 8 faster).
-    out: _Map = {}
+    out: _Packed = {}
     for w, c in m.items():
         p, q = w.index(i), w.index(i + 1)
         s = list(w)
         s[p], s[q] = i + 1, i
         sw = tuple(s)
-        d = out.get(sw)
-        if d is None:
-            out[sw] = dict(c)
+        k = out.get(sw, 0) + c
+        if k:
+            out[sw] = k
         else:
-            for e, k in c.items():
-                v = d.get(e, 0) + k
-                if v:
-                    d[e] = v
-                else:
-                    del d[e]
+            del out[sw]
         if (p < q) != positive:
-            d = out.get(w)
-            if d is None:
-                out[w] = {e + 1: sign * k for e, k in c.items()}
+            k = out.get(w, 0) + (c << width if positive else -c << width)
+            if k:
+                out[w] = k
             else:
-                for e, k in c.items():
-                    v = d.get(e + 1, 0) + sign * k
-                    if v:
-                        d[e + 1] = v
-                    else:
-                        del d[e + 1]
+                del out[w]
     _check_size(out)
     return out
 
@@ -182,44 +218,69 @@ def _check_size(m: dict) -> None:
         )
 
 
+def _expand(w: Perm, letters: Sequence[int]) -> tuple[_Packed, int]:
+    """T_w times the signed generator letters, packed, and the width it uses.
+
+    The exponents of z start at 0 and only grow, so the offset is 0, and L
+    letters need the width L + 2 (see the module docstring).
+    """
+    width = len(letters) + 2
+    m: _Packed = {w: 1}
+    for g in letters:
+        m = _step(m, abs(g), g > 0, width)
+    return m, width
+
+
 def expand_word(word: BraidWord) -> HeckeElement:
     """The image of a braid word in H_n, expanded in the PPB basis."""
-    m: _Map = {identity_perm(word.strands): {0: 1}}
-    for g in word.letters:
-        m = _step(m, abs(g), g > 0)
-    return _element(word.strands, PPB, m)
+    m, width = _expand(identity_perm(word.strands), word.letters)
+    # each packed int is dropped as it is decoded, so the packed and the
+    # decoded expansion are never both held whole
+    coeffs = {w: LaurentZ(_unpack(m.pop(w), width, 0)) for w in list(m)}
+    return HeckeElement(word.strands, PPB, coeffs)
 
 
-def _npb_sum(m: _Map) -> _Map:
-    """Sum c_w . U_w over a map {w: c_w}, expanded in the PPB basis.
+def _horner(m: _Packed, width: int) -> _Packed:
+    """Sum c_w . U_w over a packed map {w: c_w}, expanded in the PPB basis.
 
     This is Horner's rule over last letters (see the module docstring). Every
     step, and the map returned, is held to ``MAX_TERMS``; m is not changed.
     """
-    total: _Map = {}
-    groups: dict[int, _Map] = {}
+    total: _Packed = {}
+    groups: dict[int, _Packed] = {}
     for w, c in m.items():
         i = next((i for i in range(1, len(w)) if w.index(i + 1) < w.index(i)), 0)
         if not i:  # the identity, U_e = T_e
-            total[w] = dict(c)
+            total[w] = c
             continue
         s = list(w)
         s[w.index(i)], s[w.index(i + 1)] = i + 1, i
         groups.setdefault(i, {})[tuple(s)] = c
     for i, g in groups.items():
-        for v, d in _step(_npb_sum(g), i, False).items():
-            acc = total.get(v)
-            if acc is None:
+        for v, d in _step(_horner(g, width), i, False, width).items():
+            d += total.get(v, 0)
+            if d:
                 total[v] = d
-                continue
-            for e, k in d.items():
-                k += acc.get(e, 0)
-                if k:
-                    acc[e] = k
-                else:
-                    del acc[e]
+            else:
+                del total[v]
     _check_size(total)
     return total
+
+
+def _npb_sum(m: _Map) -> _Map:
+    """Sum c_w . U_w over a map {w: c_w}, expanded in the PPB basis.
+
+    The polynomials are packed once, at the width the module docstring
+    bounds, summed by ``_horner`` and unpacked once; m is not changed.
+    """
+    if not m:
+        return {}
+    n = len(next(iter(m)))
+    low = min(e for c in m.values() for e in c)
+    norm = sum(abs(k) for c in m.values() for k in c.values())
+    width = norm.bit_length() + n * (n - 1) // 2 + 2
+    total = _horner(_pack(m, width, low), width)
+    return {w: _unpack(c, width, low) for w, c in total.items()}
 
 
 def _negate_z(m: _Map) -> _Map:
@@ -282,11 +343,10 @@ def _close_last(level: dict[Perm, _VZ]) -> dict[Perm, _VZ]:
         if q == n:  # delta = (v^-1 - v)/z
             _add_vz(below.setdefault(u, {}), coeff, {(-1, -1): 1, (1, -1): -1})
             continue
-        m: _Map = {u: {0: 1}}
-        for i in range(n - 2, q - 1, -1):
-            m = _step(m, i, True)
+        m, width = _expand(u, range(n - 2, q - 1, -1))
         for y, c in m.items():  # times v^-1, for the kink
-            _add_vz(below.setdefault(y, {}), coeff, {(-1, e): k for e, k in c.items()})
+            kink = {(-1, e): k for e, k in _unpack(c, width, 0).items()}
+            _add_vz(below.setdefault(y, {}), coeff, kink)
     below = {y: d for y, d in below.items() if d}
     _check_size(below)
     return below
@@ -302,9 +362,18 @@ def _flip(level: dict[Perm, _VZ]) -> dict[Perm, _VZ]:
     return {tuple(len(w) + 1 - x for x in reversed(w)): c for w, c in level.items()}
 
 
-def _lift(m: _Map) -> dict[Perm, _VZ]:
-    """A map of z-polynomials as a map of v^0-polynomials in v and z."""
-    return {w: {(0, e): k for e, k in c.items()} for w, c in m.items()}
+def _lift(x: HeckeElement) -> dict[Perm, _VZ]:
+    """The coefficients of x as v^0-polynomials in v and z.
+
+    Terms of one z-exponent share one key tuple: a lifted map can hold all
+    n! basis terms, and a tuple per term would take more memory than the
+    coefficients do.
+    """
+    keys: dict[int, tuple[int, int]] = {}
+    return {
+        w: {keys.setdefault(e, (0, e)): k for e, k in c.terms.items()}
+        for w, c in x.coeffs.items()
+    }
 
 
 def closure_trace(x: HeckeElement) -> LaurentVZ:
@@ -315,7 +384,7 @@ def closure_trace(x: HeckeElement) -> LaurentVZ:
     last circle of the diagram, which counts 1, so the trace is the
     coefficient of the identity on one strand. Nothing is kept between calls.
     """
-    level = _lift(_map_of(convert(x, PPB)))
+    level = _lift(convert(x, PPB))
     for _ in range(x.strands - 1):
         level = _close_last(level)
     return LaurentVZ(level.get((1,), {}))

@@ -528,7 +528,7 @@ class _Box:
 def _expanded(k: KnittedDiagram) -> list[_Box]:
     """The boxes of k, each with its word expanded in the PPB basis."""
     return [
-        _Box(ins, outs, _lift({w: c.terms for w, c in expand_word(word).coeffs.items()}))
+        _Box(ins, outs, _lift(expand_word(word)))
         for (ins, outs), word in zip(_box_wires(k.template), k.words)
     ]
 

@@ -53,17 +53,23 @@ def _random_element(rng: Random, n: int) -> HeckeElement:
     return combine(n, terms)
 
 
-# the generator steps are the kernel's, on its {w: {z-exponent: int}} maps
+def _packed_step(m: dict, i: int, positive: bool) -> dict:
+    """One of the kernel's generator steps, on a {w: {z-exponent: int}} map
+    packed at width 8 and unpacked after."""
+    out = hecke._step(hecke._pack(m, 8, 0), i, positive, 8)
+    return {w: hecke._unpack(c, 8, 0) for w, c in out.items()}
+
+
 def test_unit_times_generator():
-    assert hecke._step({(1, 2): {0: 1}}, 1, True) == {(2, 1): {0: 1}}
+    assert _packed_step({(1, 2): {0: 1}}, 1, True) == {(2, 1): {0: 1}}
 
 
 def test_quadratic_relation():
-    assert hecke._step({(2, 1): {0: 1}}, 1, True) == {(1, 2): {0: 1}, (2, 1): {1: 1}}
+    assert _packed_step({(2, 1): {0: 1}}, 1, True) == {(1, 2): {0: 1}, (2, 1): {1: 1}}
 
 
 def test_generator_inverse_cancels():
-    assert hecke._step({(2, 1): {0: 1}}, 1, False) == {(1, 2): {0: 1}}
+    assert _packed_step({(2, 1): {0: 1}}, 1, False) == {(1, 2): {0: 1}}
 
 
 def test_generator_index_out_of_range():
@@ -226,9 +232,9 @@ def test_zero_element_renders_as_zero():
     assert render_element(HeckeElement(2, PPB, {})) == "0"
 
 
-def _words(n: int):
+def _words(n: int, max_size: int = 8):
     letters = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
-    return st.lists(letters, max_size=8).map(lambda ls: BraidWord(n, tuple(ls)))
+    return st.lists(letters, max_size=max_size).map(lambda ls: BraidWord(n, tuple(ls)))
 
 
 _POLYS = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=3).map(LaurentZ)
@@ -297,6 +303,85 @@ def test_npb_coefficients_are_the_z_negated_image_of_the_inverse_letters(word):
 def test_negate_z_flips_the_sign_of_odd_powers_only():
     m = {(2, 1): {-1: 1, 0: 2, 1: 3, 2: 4}}
     assert hecke._negate_z(m) == {(2, 1): {-1: -1, 0: 2, 1: -3, 2: 4}}
+
+
+# a coefficient of absolute value 2^(B-1) - 1 is the largest that width B holds
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 80).flatmap(
+        lambda width: st.tuples(
+            st.just(width),
+            st.dictionaries(
+                st.integers(-6, 6),
+                st.sampled_from((1 - 2 ** (width - 1), 2 ** (width - 1) - 1, 0))
+                | st.integers(1 - 2 ** (width - 1), 2 ** (width - 1) - 1),
+                max_size=8,
+            ),
+        )
+    )
+)
+@example((2, {-6: 1, -5: -1, 0: 0, 6: -1}))
+@example((64, {-3: -(2**63) + 1, 2: 2**63 - 1}))
+def test_pack_and_unpack_round_trip_at_the_edge_of_the_width(case):
+    width, poly = case
+    low = min(poly, default=0)
+    c = {e: k for e, k in poly.items() if k}
+    (packed,) = hecke._pack({(1,): c}, width, low).values()
+    assert (packed == 0) == (not c)
+    assert hecke._unpack(packed, width, low) == c
+
+
+def test_sigma_power_follows_the_quadratic_recurrence_past_64_bits():
+    # T^k = f_(k-1) + f_k T with f_0 = 0, f_1 = 1, f_(k+1) = z f_k + f_(k-1)
+    f = [LaurentZ.zero(), ONE]
+    for _ in range(120):
+        f.append(Z * f[-1] + f[-2])
+    x = expand_word(BraidWord(2, (1,) * 120))
+    assert x.coeffs == {(1, 2): f[119], (2, 1): f[120]}
+    assert max(abs(k) for k in f[120].terms.values()) > 2**63
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_convert_exactly_with_negative_exponents_and_huge_coefficients(n):
+    rng = Random(n)
+    huge = 2**64 + 12345
+    terms = []
+    for _ in range(3):
+        coeff = LaurentZ({-5: huge * rng.choice((1, -1)), 0: rng.randint(-3, 3), 3: 3 * huge})
+        terms.append((coeff, naive.expand_word(_random_word(rng, n, 6))))
+    elem = combine(n, terms)
+    assert any(c.coeff(-5) for c in elem.coeffs.values())
+    assert max(abs(k) for c in elem.coeffs.values() for k in c.terms.values()) > 2**63
+    assert convert(elem, NPB) == naive.convert(elem, NPB)
+    as_npb = HeckeElement(n, NPB, elem.coeffs)
+    assert convert(as_npb, PPB) == naive.convert(as_npb, PPB)
+
+
+# a term that cancels is dropped where it cancels, so no step or level of the
+# basis change carries it on and counts it against MAX_TERMS
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: _words(n, 20)))
+@example(BraidWord(2, (1, -1, 1, -1)))
+def test_no_step_or_basis_change_level_keeps_a_zero_term(word):
+    steps, levels = [], []
+    step, horner = hecke._step, hecke._horner
+
+    def record_step(*args):
+        steps.append(step(*args))
+        return steps[-1]
+
+    def record_level(*args):
+        levels.append(horner(*args))
+        return levels[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hecke, "_step", record_step)
+        mp.setattr(hecke, "_horner", record_level)
+        x = expand_word(word)
+        convert(x, NPB)
+        convert(HeckeElement(word.strands, NPB, x.coeffs), PPB)
+    assert len(steps) >= len(word.letters) and levels
+    assert all(all(m.values()) for m in steps + levels)
 
 
 def test_every_generator_step_is_held_to_max_terms(monkeypatch):
