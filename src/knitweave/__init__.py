@@ -7,8 +7,9 @@ The package is organized into small, pure layers:
 - ``braid``: braid words, symmetric-group combinatorics, half- and full-twist
   words.
 - ``hecke``: the type-A Hecke algebra over ``Z[z, z^-1]`` with the positive and
-  negative permutation-braid bases, and its Markov trace.
-- ``diagram``: oriented link diagrams as PD codes, Seifert circles and graph,
+  negative permutation-braid bases, and the strand-closing kernel of its
+  Markov trace.
+- ``diagram``: oriented link diagrams as PD codes, Seifert circles,
   planarity verification.
 - ``skein``: framed and unframed HOMFLY evaluation by skein recursion with a
   descending-diagram base case.

@@ -23,11 +23,9 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 __all__ = [
     "Crossing",
     "PlanarDiagram",
-    "SeifertGraph",
     "PDParseError",
     "OpenDiagramError",
     "seifert_circles",
-    "seifert_graph",
     "writhe",
     "component_count",
     "planarity_check",
@@ -112,13 +110,6 @@ def _closure_faults(crossings: Sequence[Crossing]) -> Iterator[tuple[str, int]]:
             yield f"arc {arc} is consumed but never produced", k
 
 
-class SeifertGraph(NamedTuple):
-    """Vertices are Seifert circles; one signed edge per crossing."""
-
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int, int], ...]  # (circle_a, circle_b, sign), a < b
-
-
 def _union_find(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     """Root of each element 0..n-1 after joining every pair.
 
@@ -165,23 +156,6 @@ def seifert_circles(d: PlanarDiagram) -> tuple[int, dict[int, int]]:
         for a, r in zip(arcs, roots)
     }
     return len(circle_of_root) + d.free_loops, assignment
-
-
-def seifert_graph(d: PlanarDiagram) -> SeifertGraph:
-    """One vertex per Seifert circle, one signed edge per crossing."""
-    count, assignment = seifert_circles(d)
-    edges = []
-    for c in d.crossings:
-        a = assignment[c.under_in]
-        b = assignment[c.over_in]
-        if a == b:
-            raise ValueError(
-                "crossing joins a Seifert circle to itself; "
-                "the diagram cannot be a planar oriented diagram"
-            )
-        edges.append((min(a, b), max(a, b), c.sign))
-    vertices = tuple(range(1, count + 1))  # free loops sit at the top ids
-    return SeifertGraph(vertices, tuple(edges))
 
 
 def writhe(d: PlanarDiagram) -> int:

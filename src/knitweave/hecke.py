@@ -41,10 +41,8 @@ for x, y in H_(n-1), with delta = (v^-1 - v)/z: an idle last strand closes
 to a circle split from the rest, and sigma_(n-1) to a positive kink. Every
 T_w is T_u sigma_(n-1) ... sigma_q with T_u in H_(n-1), so these two rules
 and linearity fix E on all of H_n with no appeal to cyclicity.
-``closure_trace`` (Morton-Short, J. Algorithms 1990) applies E until one
-strand is left, whose circle is the last of the diagram and counts 1.
-``knitted.eval_hecke`` applies the same kernel to every box end wired to
-itself.
+``knitted.eval_hecke`` applies it to every box end wired to itself, so a
+braid closure, the one-box template, gets its Markov trace there.
 
 Generator steps and basis changes run on packed maps {w: int}: each
 z-polynomial sum_e c_e z^e is stored as the one integer sum_e c_e 2^(B e),
@@ -68,7 +66,7 @@ that the computation reaches:
 Every intermediate polynomial obeys the same bound, so an int is 0 only
 when its polynomial is, and the steps drop such terms. Closures run on
 plain (v, z)-maps {w: {(v-exponent, z-exponent): int}}, which ``_lift``
-makes from an element; ``_add_vz`` is the one (v, z) product. Only
+makes from an element, and multiply them by ``laurent._add_vz``. Only
 ``expand_word`` and ``convert`` build a ``HeckeElement``, once, from the
 map they end with. Each generator step, and each strand a closure takes
 away, refuses a map of more than ``MAX_TERMS`` terms with a ValueError.
@@ -86,7 +84,7 @@ from knitweave.braid import (
     identity_perm,
     longest_element,
 )
-from knitweave.laurent import LaurentVZ, LaurentZ
+from knitweave.laurent import LaurentZ, _add_vz, delta_pow
 
 __all__ = [
     "HeckeElement",
@@ -94,7 +92,6 @@ __all__ = [
     "NPB",
     "expand_word",
     "convert",
-    "closure_trace",
     "top_coeff",
     "render_element",
 ]
@@ -305,18 +302,6 @@ def convert(x: HeckeElement, target: str) -> HeckeElement:
     return _element(x.strands, NPB, _negate_z(_npb_sum(_negate_z(_map_of(x)))))
 
 
-def _add_vz(acc: _VZ, a: _VZ, b: _VZ) -> None:
-    """acc += a * b in v and z, in place, dropping terms that cancel."""
-    for (va, za), k1 in a.items():
-        for (vb, zb), k2 in b.items():
-            key = (va + vb, za + zb)
-            v = acc.get(key, 0) + k1 * k2
-            if v:
-                acc[key] = v
-            else:
-                del acc[key]
-
-
 def _close_last(level: dict[Perm, _VZ]) -> dict[Perm, _VZ]:
     """Close the last strand of sum c_w T_w, a map {w: coefficient in v and z}.
 
@@ -337,11 +322,12 @@ def _close_last(level: dict[Perm, _VZ]) -> dict[Perm, _VZ]:
     Each generator step, and the map returned, is held to ``MAX_TERMS``.
     """
     below: dict[Perm, _VZ] = {}
+    delta = delta_pow(1).terms
     for w, coeff in level.items():
         n, q = len(w), w[-1]
         u = tuple(x - (x > q) for x in w[:-1])
-        if q == n:  # delta = (v^-1 - v)/z
-            _add_vz(below.setdefault(u, {}), coeff, {(-1, -1): 1, (1, -1): -1})
+        if q == n:
+            _add_vz(below.setdefault(u, {}), coeff, delta)
             continue
         m, width = _expand(u, range(n - 2, q - 1, -1))
         for y, c in m.items():  # times v^-1, for the kink
@@ -374,20 +360,6 @@ def _lift(x: HeckeElement) -> dict[Perm, _VZ]:
         w: {keys.setdefault(e, (0, e)): k for e, k in c.terms.items()}
         for w, c in x.coeffs.items()
     }
-
-
-def closure_trace(x: HeckeElement) -> LaurentVZ:
-    """The framed H of the closure of x = sum c_w T_w: sum c_w tr(T_w).
-
-    An element held in the NPB basis is converted first. ``_close_last``
-    closes one strand at a time until one is left; that strand closes to the
-    last circle of the diagram, which counts 1, so the trace is the
-    coefficient of the identity on one strand. Nothing is kept between calls.
-    """
-    level = _lift(convert(x, PPB))
-    for _ in range(x.strands - 1):
-        level = _close_last(level)
-    return LaurentVZ(level.get((1,), {}))
 
 
 def top_coeff(x: HeckeElement) -> LaurentZ:

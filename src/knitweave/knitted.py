@@ -65,14 +65,13 @@ from knitweave.diagram import (
 )
 from knitweave.hecke import (
     MAX_TERMS,
-    _add_vz,
     _close_last,
     _flip,
     _lift,
     expand_word,
     top_coeff,
 )
-from knitweave.laurent import LaurentVZ, LaurentZ, delta_pow
+from knitweave.laurent import LaurentVZ, LaurentZ, _add_vz, delta_pow
 from knitweave.skein import _framed
 
 __all__ = [
@@ -494,8 +493,11 @@ def eval_hecke(k: KnittedDiagram) -> LaurentVZ:
     Each box word is expanded in the positive permutation-braid basis, with
     coefficients in v and z, and ``_close_ends`` closes every box end wired
     to itself by a partial trace, which needs no diagram and no skein. A
-    braid closure closes completely, and so does any template whose boxes
-    close one after another. Whatever boxes remain are summed over the
+    braid closure, the one-box template, closes completely: that is the
+    Markov trace of the closed braid (Morton-Short, J. Algorithms 1990),
+    the last strand closed until one is left, whose circle is the last of
+    the diagram and counts 1. Any template whose boxes close one after
+    another closes completely too. Whatever boxes remain are summed over the
     tuples of their basis terms by ``_tuple_sum``, with the closed scalar
     factored out. Either way the value agrees with evaluating the compiled
     diagram directly, and nothing is kept between calls.
@@ -816,9 +818,9 @@ def random_template(
     ``random.shuffle`` draws by the length of the list alone, so the rng
     stream does not depend on what the list holds. A try is refused at the
     first box that a Seifert circle meets twice, by ``_repeats``, with no
-    wiring built; only a try that passes builds its wiring and is checked by
-    ``_failures``, up to its first failed condition, and a template is built
-    only for the wiring kept. Raises ValueError if no try succeeds.
+    wiring built; only a try that passes builds its wiring and a template,
+    whose constructor checks it once and raises ``TemplateError`` if it is
+    outside the class. Raises ValueError if no try succeeds.
     """
     total = 0
     for _ in range(20):
@@ -835,8 +837,10 @@ def random_template(
             if next(_repeats(targets, box_of), None) is not None:
                 continue
             wiring = tuple(zip(endpoints, [endpoints[j] for j in targets]))
-            if next(_failures(boxes, wiring), None) is None:
+            try:
                 return KnittedTemplate(boxes, wiring), total
+            except TemplateError:
+                continue
     raise ValueError(
         f"no valid template found in {total} tries "
         f"(max_boxes={max_boxes}, max_strands={max_strands})"

@@ -9,6 +9,11 @@ arithmetic drops its own zero terms and stores its results through
 ``_wrap``, which checks nothing: the terms of a clean polynomial are ints
 already.
 
+``_add_vz`` is the (v, z) product kernel: it adds a product of two plain
+term maps into a third, in place. ``LaurentVZ.__mul__`` runs on it, and so
+do the Hecke closures and the knitted tuple sum, which keep their (v, z)
+coefficients as plain maps.
+
 The canonical term order used for serialization and rendering is ascending
 v-exponent, then ascending z-exponent.
 """
@@ -23,6 +28,19 @@ __all__ = ["LaurentZ", "LaurentVZ", "delta_pow"]
 
 _DECIMAL = re.compile(r"-?[0-9]+")
 _L = TypeVar("_L", bound="_Laurent")
+
+
+def _add_vz(acc: dict, a: Mapping, b: Mapping) -> None:
+    """acc += a * b on (v-exponent, z-exponent) term maps, in place,
+    dropping terms that cancel."""
+    for (va, za), k1 in a.items():
+        for (vb, zb), k2 in b.items():
+            key = (va + vb, za + zb)
+            v = acc.get(key, 0) + k1 * k2
+            if v:
+                acc[key] = v
+            else:
+                del acc[key]
 
 
 def _fmt_power(var: str, exp: int) -> str:
@@ -169,11 +187,8 @@ class LaurentVZ(_Laurent):
         if isinstance(other, int):
             return LaurentVZ._wrap({k: c * other for k, c in self._terms.items()} if other else {})
         out: dict[tuple[int, int], int] = {}
-        for (v1, z1), c1 in self._terms.items():
-            for (v2, z2), c2 in other._terms.items():
-                k = (v1 + v2, z1 + z2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return LaurentVZ._wrap({k: c for k, c in out.items() if c})
+        _add_vz(out, self._terms, other._terms)
+        return LaurentVZ._wrap(out)
 
     __rmul__ = __mul__
 

@@ -57,7 +57,7 @@ from knitweave.diagram import (
     _split_components,
     canonical_raw,
     planarity_check,
-    seifert_graph,
+    seifert_circles,
     writhe,
 )
 from knitweave.laurent import LaurentVZ, delta_pow
@@ -261,12 +261,21 @@ def mp_vanishing(d: PlanarDiagram) -> tuple[bool, bool]:
     """(predicts_plus_zero, predicts_minus_zero).
 
     A pair of Seifert circles joined by exactly one crossing forces the
-    extreme coefficient on that crossing's sign side to vanish.
+    extreme coefficient on that crossing's sign side to vanish. The pairs
+    are the edges of the signed Seifert graph: a crossing joins the circle
+    of its under-strand to that of its over-strand, which differ in any
+    planar oriented diagram.
     """
-    g = seifert_graph(d)
+    _, circle = seifert_circles(d)
     between: dict[tuple[int, int], list[int]] = {}
-    for a, b, sign in g.edges:
-        between.setdefault((a, b), []).append(sign)
+    for c in d.crossings:
+        a, b = circle[c.under_in], circle[c.over_in]
+        if a == b:
+            raise ValueError(
+                "crossing joins a Seifert circle to itself; "
+                "the diagram cannot be a planar oriented diagram"
+            )
+        between.setdefault((min(a, b), max(a, b)), []).append(c.sign)
     plus_zero = any(signs == [1] for signs in between.values())
     minus_zero = any(signs == [-1] for signs in between.values())
     return plus_zero, minus_zero

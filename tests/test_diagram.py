@@ -17,10 +17,10 @@ from knitweave.diagram import (
     parse_pd,
     planarity_check,
     seifert_circles,
-    seifert_graph,
     writhe,
 )
 from knitweave.knitted import braid_closure
+from knitweave.skein import mp_vanishing
 
 
 def _random_word(rng: Random, n: int, max_len: int = 8) -> BraidWord:
@@ -91,22 +91,52 @@ def test_seifert_assignment_partitions_arcs():
     assert set(assignment.values()) == {1, 2, 3}
 
 
+def _seifert_edges(d: PlanarDiagram) -> list[tuple[int, int, int]]:
+    """The signed Seifert graph's edges: one (circle, circle, sign) per crossing."""
+    _, circle = seifert_circles(d)
+    return [
+        (*sorted((circle[c.under_in], circle[c.over_in])), c.sign) for c in d.crossings
+    ]
+
+
 def test_seifert_graph_examples():
-    g = seifert_graph(braid_closure(BraidWord(2, (1,))))
-    assert len(g.vertices) == 2 and g.edges == ((1, 2, 1),)
-    g = seifert_graph(braid_closure(BraidWord(2, (1, 1))))
-    assert g.edges == ((1, 2, 1), (1, 2, 1))
-    g = seifert_graph(braid_closure(BraidWord(3, (1, -2))))
-    assert len(g.vertices) == 3
-    assert sorted(g.edges) == [(1, 2, 1), (2, 3, -1)]
+    d = braid_closure(BraidWord(2, (1,)))
+    assert seifert_circles(d)[0] == 2 and _seifert_edges(d) == [(1, 2, 1)]
+    assert mp_vanishing(d) == (True, False)
+    d = braid_closure(BraidWord(2, (1, 1)))
+    assert _seifert_edges(d) == [(1, 2, 1), (1, 2, 1)]
+    assert mp_vanishing(d) == (False, False)
+    d = braid_closure(BraidWord(3, (1, -2)))
+    assert seifert_circles(d)[0] == 3
+    assert sorted(_seifert_edges(d)) == [(1, 2, 1), (2, 3, -1)]
+    assert mp_vanishing(d) == (True, True)
 
 
 def test_seifert_graph_edge_count_matches_crossings():
+    # every crossing joins two distinct circles of a braid closure, and
+    # mp_vanishing predicts a zero on a sign side exactly when a pair of
+    # circles meets at one crossing of that sign
     rng = Random(12)
     for _ in range(30):
         w = _random_word(rng, rng.randint(2, 4))
         d = braid_closure(w)
-        assert len(seifert_graph(d).edges) == len(d.crossings)
+        edges = _seifert_edges(d)
+        assert len(edges) == len(d.crossings)
+        assert all(a != b for a, b, _ in edges)
+        signs: dict[tuple[int, int], list[int]] = {}
+        for a, b, sign in edges:
+            signs.setdefault((a, b), []).append(sign)
+        assert mp_vanishing(d) == tuple(
+            any(s == [side] for s in signs.values()) for side in (1, -1)
+        )
+
+
+def test_a_crossing_that_joins_a_seifert_circle_to_itself_is_refused():
+    # both crossings smooth into one circle: the code is not planar
+    d = PlanarDiagram([Crossing(1, 0, 1, 2, 3), Crossing(1, 2, 3, 1, 0)])
+    assert not planarity_check(d)
+    with pytest.raises(ValueError, match="joins a Seifert circle to itself"):
+        mp_vanishing(d)
 
 
 def test_writhe_examples():

@@ -168,7 +168,9 @@ def _bijective_wirings(draw):
 @given(_bijective_wirings())
 def test_constructor_refuses_exactly_what_the_sampler_rejects(case):
     boxes, wiring = case
-    # the sampler's two steps: the early-exit "twice" walk, then the rest
+    # the sampler refuses a try by the early-exit "twice" walk, and checks
+    # one that passes once, by building it: the walk refuses nothing the
+    # constructor accepts, and the constructor reports what _failures finds
     if (
         next(knitted._repeats(*knitted._flat(boxes, wiring)), None) is None
         and next(knitted._failures(boxes, wiring), None) is None

@@ -1,10 +1,10 @@
-"""The Markov trace of ``hecke`` against the other routes to a closed braid's H.
+"""The Markov trace of a closed braid against the other routes to its H.
 
-``eval_hecke`` closes a one-box template strand by strand, as
-``closure_trace`` does; its value must equal the tuple sum over the same
-one-box diagram, direct skein, the naive skein oracle and the T(2,k)
-recurrence, and must change under the Markov moves as the framed H of the
-closure does.
+``eval_hecke`` on ``braid_closure_knitted(word)`` closes the one-box
+template strand by strand with ``hecke._close_last``; its value must equal
+the tuple sum over the same one-box diagram, direct skein, the naive skein
+oracle and the T(2,k) recurrence, and must change under the Markov moves as
+the framed H of the closure does.
 """
 
 from itertools import permutations
@@ -17,7 +17,7 @@ from naive_skein import naive_homfly_framed
 
 from knitweave import hecke
 from knitweave.braid import BraidWord, full_twist_word
-from knitweave.hecke import NPB, PPB, HeckeElement, closure_trace, convert, expand_word
+from knitweave.hecke import PPB, HeckeElement
 from knitweave.knitted import _expanded, _tuple_sum, braid_closure, braid_closure_knitted, eval_hecke
 from knitweave.laurent import LaurentVZ, LaurentZ, delta_pow
 from knitweave.skein import homfly_framed
@@ -49,8 +49,6 @@ def test_trace_matches_the_tuple_sum_direct_skein_and_the_naive_oracle(word):
     d = braid_closure(word)
     assert h == homfly_framed(d)
     assert h == naive_homfly_framed(d)
-    # the trace reads an element in either basis
-    assert closure_trace(convert(expand_word(word), NPB)) == h
 
 
 def test_trace_follows_the_torus_recurrence():
@@ -89,4 +87,4 @@ def test_the_trace_holds_each_level_to_max_terms(monkeypatch):
     ws = [w for w in permutations(range(1, 7)) if w[5] == 4 and w.index(6) < w.index(5)]
     x = HeckeElement(6, PPB, {w: LaurentZ.one() for w in ws[:20]})
     with pytest.raises(ValueError, match="MAX_TERMS = 24"):
-        closure_trace(x)
+        hecke._close_last(hecke._lift(x))
