@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import index
 
 __all__ = [
     "BraidWord",
@@ -35,13 +36,17 @@ _LETTER = re.compile(r"[+-]?[0-9]+")
 
 @dataclass(frozen=True)
 class BraidWord:
-    """A braid word: strand count plus a sequence of signed generator letters."""
+    """A braid word: strand count plus a sequence of signed generator letters.
+
+    Both are integers: a float or a string raises TypeError.
+    """
 
     strands: int
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
+        object.__setattr__(self, "strands", index(self.strands))
+        object.__setattr__(self, "letters", tuple(index(g) for g in self.letters))
         if self.strands < 1:
             raise ValueError(f"strand count must be positive, got {self.strands}")
         for g in self.letters:

@@ -17,6 +17,7 @@ this convention, so the rotation system survives skein moves.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -53,7 +54,7 @@ class PlanarDiagram:
 
     def __init__(self, crossings: Iterable[Crossing], free_loops: int = 0) -> None:
         self.crossings = tuple(crossings)
-        self.free_loops = int(free_loops)
+        self.free_loops = operator.index(free_loops)
         if self.free_loops < 0:
             raise ValueError("free loop count cannot be negative")
         ins: list[int] = []

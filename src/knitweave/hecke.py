@@ -65,11 +65,13 @@ that the computation reaches:
 
 Every intermediate polynomial obeys the same bound, so an int is 0 only
 when its polynomial is, and the steps drop such terms. Closures run on
-plain (v, z)-maps {w: {(v-exponent, z-exponent): int}}, which ``_lift``
-makes from an element, and multiply them by ``laurent._add_vz``. Only
-``expand_word`` and ``convert`` build a ``HeckeElement``, once, from the
-map they end with. Each generator step, and each strand a closure takes
-away, refuses a map of more than ``MAX_TERMS`` terms with a ValueError.
+plain (v, z)-maps {w: {(v-exponent, z-exponent): int}}, and multiply them
+by ``laurent._add_vz``. ``_expand_vz`` decodes an expansion straight into
+such a map, once, for the kink words of ``_close_last`` and for the box
+words of ``knitted.eval_hecke``. Only ``expand_word`` and ``convert`` build
+a ``HeckeElement``, once, from the map they end with. Each generator step,
+and each strand a closure takes away, refuses a map of more than
+``MAX_TERMS`` terms with a ValueError.
 """
 
 from __future__ import annotations
@@ -228,6 +230,22 @@ def _expand(w: Perm, letters: Sequence[int]) -> tuple[_Packed, int]:
     return m, width
 
 
+def _expand_vz(w: Perm, letters: Sequence[int], v: int) -> dict[Perm, _VZ]:
+    """T_w times the signed generator letters, as v^v-polynomials in v and z.
+
+    Each packed int is dropped as it is decoded, so the packed and the
+    decoded expansion are never both held whole. Terms of one z-exponent
+    share one key tuple: a decoded map can hold all n! basis terms, and a
+    tuple per term would take more memory than the coefficients do.
+    """
+    m, width = _expand(w, letters)
+    keys: dict[int, tuple[int, int]] = {}
+    return {
+        y: {keys.setdefault(e, (v, e)): k for e, k in _unpack(m.pop(y), width, 0).items()}
+        for y in list(m)
+    }
+
+
 def expand_word(word: BraidWord) -> HeckeElement:
     """The image of a braid word in H_n, expanded in the PPB basis."""
     m, width = _expand(identity_perm(word.strands), word.letters)
@@ -329,9 +347,8 @@ def _close_last(level: dict[Perm, _VZ]) -> dict[Perm, _VZ]:
         if q == n:
             _add_vz(below.setdefault(u, {}), coeff, delta)
             continue
-        m, width = _expand(u, range(n - 2, q - 1, -1))
-        for y, c in m.items():  # times v^-1, for the kink
-            kink = {(-1, e): k for e, k in _unpack(c, width, 0).items()}
+        # times v^-1, for the kink
+        for y, kink in _expand_vz(u, range(n - 2, q - 1, -1), -1).items():
             _add_vz(below.setdefault(y, {}), coeff, kink)
     below = {y: d for y, d in below.items() if d}
     _check_size(below)
@@ -346,20 +363,6 @@ def _flip(level: dict[Perm, _VZ]) -> dict[Perm, _VZ]:
     strand of the turned box is the first strand of the box.
     """
     return {tuple(len(w) + 1 - x for x in reversed(w)): c for w, c in level.items()}
-
-
-def _lift(x: HeckeElement) -> dict[Perm, _VZ]:
-    """The coefficients of x as v^0-polynomials in v and z.
-
-    Terms of one z-exponent share one key tuple: a lifted map can hold all
-    n! basis terms, and a tuple per term would take more memory than the
-    coefficients do.
-    """
-    keys: dict[int, tuple[int, int]] = {}
-    return {
-        w: {keys.setdefault(e, (0, e)): k for e, k in c.terms.items()}
-        for w, c in x.coeffs.items()
-    }
 
 
 def top_coeff(x: HeckeElement) -> LaurentZ:

@@ -48,6 +48,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from operator import index
 from random import Random
 from typing import Iterator, NamedTuple, Sequence
 
@@ -55,6 +56,7 @@ from knitweave.braid import (
     BraidWord,
     full_twist_word,
     half_twist_word,
+    identity_perm,
     reduced_word,
 )
 from knitweave.diagram import (
@@ -66,8 +68,8 @@ from knitweave.diagram import (
 from knitweave.hecke import (
     MAX_TERMS,
     _close_last,
+    _expand_vz,
     _flip,
-    _lift,
     expand_word,
     top_coeff,
 )
@@ -110,19 +112,20 @@ class KnittedTemplate:
 
     Construction checks every template condition, so a template that exists
     is in the paper's class; a wiring outside it raises ``TemplateError``.
+    Strand counts and endpoints are integers: a float or a string raises TypeError.
     """
 
     boxes: tuple[int, ...]
     wiring: tuple[tuple[Endpoint, Endpoint], ...]  # ((out box, pos), (in box, pos))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "boxes", tuple(int(n) for n in self.boxes))
+        object.__setattr__(self, "boxes", tuple(index(n) for n in self.boxes))
         object.__setattr__(
             self,
             "wiring",
             tuple(
                 sorted(
-                    ((int(ob), int(op)), (int(ib), int(ip)))
+                    ((index(ob), index(op)), (index(ib), index(ip)))
                     for (ob, op), (ib, ip) in self.wiring
                 )
             ),
@@ -530,7 +533,7 @@ class _Box:
 def _expanded(k: KnittedDiagram) -> list[_Box]:
     """The boxes of k, each with its word expanded in the PPB basis."""
     return [
-        _Box(ins, outs, _lift(expand_word(word)))
+        _Box(ins, outs, _expand_vz(identity_perm(word.strands), word.letters, 0))
         for (ins, outs), word in zip(_box_wires(k.template), k.words)
     ]
 
@@ -667,12 +670,14 @@ class PlaneBipartiteGraph:
     rotations: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
-        object.__setattr__(self, "rotations", tuple(tuple(r) for r in self.rotations))
+        object.__setattr__(self, "n_vertices", index(self.n_vertices))
+        object.__setattr__(self, "edges", tuple(tuple(map(index, e)) for e in self.edges))
+        object.__setattr__(self, "rotations", tuple(tuple(map(index, r)) for r in self.rotations))
         if len(self.rotations) != self.n_vertices:
             raise ValueError("one rotation per vertex is required")
         seen = set()
-        for u, v in self.edges:
+        incident: list[list[int]] = [[] for _ in self.rotations]  # in edge order
+        for i, (u, v) in enumerate(self.edges):
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
@@ -681,11 +686,12 @@ class PlaneBipartiteGraph:
             if key in seen:
                 raise ValueError(f"repeated edge between {u} and {v}")
             seen.add(key)
+            incident[u].append(i)
+            incident[v].append(i)
         for v, rot in enumerate(self.rotations):
-            incident = sorted(i for i, e in enumerate(self.edges) if v in e)
-            if sorted(rot) != incident:
+            if sorted(rot) != incident[v]:
                 raise ValueError(
-                    f"rotation at vertex {v} must permute its incident edges {incident}"
+                    f"rotation at vertex {v} must permute its incident edges {incident[v]}"
                 )
 
     def bipartition(self) -> tuple[set[int], set[int]]:

@@ -25,6 +25,17 @@ def test_letter_range_is_enforced():
         BraidWord(1, (1,))
 
 
+def test_strands_and_letters_are_integers_only():
+    # a float letter was kept as given, and the closure of its word then
+    # failed to build; a float strand count was accepted
+    for strands, letters in ((2, (1.0,)), (2.5, (1,)), ("2", ()), (3, ("1",))):
+        with pytest.raises(TypeError):
+            BraidWord(strands, letters)
+    w = BraidWord(3, (True, -2))
+    assert w == BraidWord(3, (1, -2))
+    assert all(type(g) is int for g in w.letters)
+
+
 def test_perm_of_empty_word():
     assert perm_of_word(BraidWord(3, ())) == (1, 2, 3)
 

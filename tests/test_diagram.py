@@ -48,6 +48,14 @@ def _cycles(p) -> int:
     return count
 
 
+def test_free_loop_count_is_an_integer_only():
+    # int() truncated 2.9 to 2 free loops
+    for bad in (2.9, 2.0, "2"):
+        with pytest.raises(TypeError):
+            PlanarDiagram((), bad)
+    assert PlanarDiagram((), 2) == braid_closure(BraidWord(2, ()))
+
+
 def test_closure_of_empty_word_is_free_loops():
     d = braid_closure(BraidWord(3, ()))
     assert len(d.crossings) == 0 and d.free_loops == 3

@@ -26,7 +26,7 @@ from knitweave.hecke import (
     render_element,
     top_coeff,
 )
-from knitweave.knitted import braid_closure_knitted, eval_hecke
+from knitweave.knitted import _expanded, braid_closure_knitted, eval_hecke, random_knitted
 from knitweave.laurent import LaurentZ
 
 Z = LaurentZ.term(1)
@@ -451,3 +451,26 @@ def test_the_flip_turns_sigma_i_into_sigma_n_minus_i(word):
     n = word.strands
     turned = BraidWord(n, tuple((n - abs(g)) * (1 if g > 0 else -1) for g in word.letters))
     assert hecke._flip(_vz(expand_word(word))) == _vz(expand_word(turned))
+
+
+@st.composite
+def _knitted(draw):
+    """A braid closure on 1-5 strands, or a random template of up to 4 boxes."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        return braid_closure_knitted(draw(_words(n)) if n > 1 else BraidWord(1, ()))
+    return random_knitted(Random(draw(st.integers(0, 2**16))), 4, 4, 6)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_knitted())
+@example(braid_closure_knitted(BraidWord(1, ())))
+@example(braid_closure_knitted(BraidWord(4, ())))
+def test_each_box_decodes_to_its_expansion_at_v0(k):
+    # eval_hecke decodes each box word straight from the packed kernel; the
+    # public route decodes it into a HeckeElement, which _vz lifts
+    boxes = _expanded(k)
+    assert [b.terms for b in boxes] == [_vz(expand_word(w)) for w in k.words]
+    for b in boxes:  # terms of one z-exponent share one key tuple
+        keys: dict = {}
+        assert all(keys.setdefault(key, key) is key for c in b.terms.values() for key in c)

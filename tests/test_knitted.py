@@ -102,6 +102,19 @@ def test_braid_closure_template_is_valid():
         assert seifert_count(t) == n
 
 
+def test_template_strands_and_endpoints_are_integers_only():
+    # int() built the 2-strand closure template from each of these
+    closure = (((0, 0), (0, 0)), ((0, 1), (0, 1)))
+    for boxes, wiring in (
+        ((2.7,), (((0, 0.9), (0, 0)), ((0, 1), (0, 1.2)))),
+        (("2",), closure),
+        ((2,), (((0, "0"), (0, 0)), ((0, 1), (0, 1)))),
+    ):
+        with pytest.raises(TypeError):
+            KnittedTemplate(boxes, wiring)
+    assert KnittedTemplate((2,), closure) == braid_closure_template(2)
+
+
 def test_crossed_closure_wiring_is_rejected_by_planarity():
     with pytest.raises(TemplateError) as err:
         KnittedTemplate((2,), CROSSED)
@@ -716,6 +729,18 @@ def test_bipartite_graph_input_validation():
         PlaneBipartiteGraph(2, ((0, 0),), ((0,), ()))  # self loop
     with pytest.raises(ValueError):
         PlaneBipartiteGraph(2, ((0, 1), (1, 0)), ((0, 1), (0, 1)))  # repeated edge
+    # integers only: a float vertex would index the incident-edge lists
+    for n, edges, rotations in (
+        (2.0, ((0, 1),), ((0,), (0,))),
+        (2, ((0, 1.0),), ((0,), (0,))),
+        (2, ((0, 1),), ((0.0,), (0,))),
+    ):
+        with pytest.raises(TypeError):
+            PlaneBipartiteGraph(n, edges, rotations)
+    with pytest.raises(ValueError, match=r"^edge \(0, 2\) out of range$"):
+        PlaneBipartiteGraph(2, ((0, 2),), ((0,), ()))
+    with pytest.raises(ValueError, match=r"^rotation at vertex 1 must permute its incident edges \[0, 1\]$"):
+        PlaneBipartiteGraph(3, ((0, 1), (1, 2)), ((0,), (1,), (1,)))
     odd = PlaneBipartiteGraph(
         3, ((0, 1), (1, 2), (2, 0)), ((0, 2), (0, 1), (1, 2))
     )

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from naive_skein import naive_homfly_framed
+from test_hecke import _vz
 
 from knitweave import hecke
 from knitweave.braid import BraidWord, full_twist_word
@@ -87,4 +88,4 @@ def test_the_trace_holds_each_level_to_max_terms(monkeypatch):
     ws = [w for w in permutations(range(1, 7)) if w[5] == 4 and w.index(6) < w.index(5)]
     x = HeckeElement(6, PPB, {w: LaurentZ.one() for w in ws[:20]})
     with pytest.raises(ValueError, match="MAX_TERMS = 24"):
-        hecke._close_last(hecke._lift(x))
+        hecke._close_last(_vz(x))
