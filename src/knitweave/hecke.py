@@ -231,7 +231,7 @@ def _expand(w: Perm, letters: Sequence[int]) -> tuple[_Packed, int]:
 
 
 def _expand_vz(w: Perm, letters: Sequence[int], v: int) -> dict[Perm, _VZ]:
-    """T_w times the signed generator letters, as v^v-polynomials in v and z.
+    """T_w times the signed generator letters, as a (v, z)-map at v-exponent v.
 
     Each packed int is dropped as it is decoded, so the packed and the
     decoded expansion are never both held whole. Terms of one z-exponent
