@@ -32,9 +32,9 @@ oriented curve has one of them on its left and the other on its right all
 along. Both passes run upward, so the segment leaves the pass at p on its
 right side and reaches the pass at q from its left side: it joins the two
 regions without meeting C, which is impossible. So the "twice" check never
-rejects a planar wiring. ``_repeats`` decides it, and both ``_failures`` and
-the sampler keep it as a cheap pre-filter that refuses most random wirings
-before the ribbon-graph trace runs.
+rejects a planar wiring. ``_repeats_a_box`` decides it for the sampler, which
+refuses most random wirings by it alone, and ``_failures`` reads it off the
+circles it lists, before the ribbon-graph trace runs.
 
 ``KnittedTemplate`` checks every condition when it is built, so a template
 that exists is in the class and nothing downstream checks again.
@@ -47,6 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from operator import index
 from random import Random
@@ -119,17 +120,9 @@ class KnittedTemplate:
     wiring: tuple[tuple[Endpoint, Endpoint], ...]  # ((out box, pos), (in box, pos))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "boxes", tuple(index(n) for n in self.boxes))
-        object.__setattr__(
-            self,
-            "wiring",
-            tuple(
-                sorted(
-                    ((index(ob), index(op)), (index(ib), index(ip)))
-                    for (ob, op), (ib, ip) in self.wiring
-                )
-            ),
-        )
+        boxes, wiring = _integers(self.boxes, self.wiring)
+        object.__setattr__(self, "boxes", boxes)
+        object.__setattr__(self, "wiring", wiring)
         if not self.boxes:
             raise ValueError("a template needs at least one box")
         if any(n < 1 for n in self.boxes):
@@ -167,6 +160,14 @@ class TemplateError(ValueError):
     def __init__(self, report: ValidationReport) -> None:
         super().__init__("invalid knitted template: " + "; ".join(report.failures))
         self.report = report
+
+
+def _integers(
+    boxes: Sequence[int], wiring: Sequence[tuple[Endpoint, Endpoint]]
+) -> tuple[tuple[int, ...], tuple[tuple[Endpoint, Endpoint], ...]]:
+    """Strand counts and the sorted wiring as ints; a float or a string raises TypeError."""
+    pairs = (((index(ob), index(op)), (index(ib), index(ip))) for (ob, op), (ib, ip) in wiring)
+    return tuple(map(index, boxes)), tuple(sorted(pairs))
 
 
 def _flat(
@@ -207,31 +208,22 @@ def _circles(nxt: Sequence[int], box_of: Sequence[int]) -> list[list[int]]:
     return circles
 
 
-def _repeats(nxt: Sequence[int], box_of: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """(circle, box) each time a Seifert circle meets a box it has already met.
-
-    This decides the condition "no Seifert circle passes through the same box
-    twice": a wiring meets it when nothing is yielded. Circles are numbered
-    as in ``_circles``. The walk is lazy, so a caller that stops at the first
-    pair has followed one circle up to its first repeated box and no further.
+def _repeats_a_box(nxt: Sequence[int], box_of: Sequence[int]) -> bool:
+    """Whether a Seifert circle passes through a box twice: each cycle of
+    ``nxt`` is walked with a bitmask of the boxes it has met, to the first repeat.
     """
     seen = bytearray(len(nxt))
-    last = [-1] * len(nxt)  # per box, the last circle that met it
-    circle = 0
     for start in range(len(nxt)):
-        if seen[start]:
-            continue
-        i = nxt[start]
-        while True:
+        met = 0
+        i = start
+        while not seen[i]:
             seen[i] = 1
-            b = box_of[i]
-            if last[b] == circle:
-                yield circle, b
-            last[b] = circle
-            if i == start:
-                break
             i = nxt[i]
-        circle += 1
+            bit = 1 << box_of[i]
+            if met & bit:
+                return True
+            met |= bit
+    return False
 
 
 def _ribbon_planar(
@@ -278,27 +270,22 @@ def _failures(
 
     ``wiring`` must be a bijection from the box outputs to the box inputs, in
     any order. Almost every random wiring already fails a circle check, so the
-    ribbon face trace runs last. The first circle check, no circle through a
-    box twice, is decided by ``_repeats`` and is a cheap pre-filter:
-    planarity implies it (see the module docstring), so it refuses only
-    wirings the face trace would refuse too, but sooner. ``random_template``
-    refuses each try at its first repeated box by ``_repeats`` alone, so only
-    the tries that pass it come here. The template is checked before the
+    ribbon face trace runs last. One walk lists the circles, and each circle's
+    list gives its repeated boxes, which planarity rules out (see the module
+    docstring), and its set of boxes. The template is checked before the
     CLI's strand limit, so no step is quadratic in the strands of one box:
     circles that share two boxes are found through the pairs of boxes each
     one meets, not by comparing every pair of circles.
     """
-    nxt, box_of = _flat(boxes, wiring)
-    twice: dict[int, set[int]] = {}
-    for circle, b in _repeats(nxt, box_of):
-        twice.setdefault(circle, set()).add(b)
-    for circle, dups in twice.items():
-        yield f"circle {circle} passes through box(es) {sorted(dups)} more than once"
-    incidence = [set(visits) for visits in _circles(nxt, box_of)]
+    incidence: list[set[int]] = []
     on_pair: dict[tuple[int, int], list[int]] = {}
-    for i, met in enumerate(incidence):
+    for circle, visits in enumerate(_circles(*_flat(boxes, wiring))):
+        incidence.append(met := set(visits))
+        if len(met) < len(visits):
+            dups = sorted(b for b, count in Counter(visits).items() if count > 1)
+            yield f"circle {circle} passes through box(es) {dups} more than once"
         for pair in itertools.combinations(sorted(met), 2):
-            on_pair.setdefault(pair, []).append(i)
+            on_pair.setdefault(pair, []).append(circle)
     sharing = {ij for on in on_pair.values() for ij in itertools.combinations(on, 2)}
     for i, j in sorted(sharing):
         yield f"circles {i} and {j} share boxes {sorted(incidence[i] & incidence[j])}"
@@ -312,10 +299,11 @@ def validate(
     """Check all template conditions; failures are data, not exceptions.
 
     ``boxes`` holds positive strand counts and ``wiring`` any sequence of
-    (output, input) endpoint pairs. A wiring that is not a perfect matching
-    is reported as that one failure, and the other conditions, which are
-    defined on matchings only, are not checked.
+    (output, input) endpoint pairs, all integers as in ``KnittedTemplate``. A
+    wiring that is not a perfect matching is reported as that one failure,
+    and the other conditions, defined on matchings only, are not checked.
     """
+    boxes, wiring = _integers(boxes, wiring)
     failures = tuple(_matching_failures(boxes, wiring)) or tuple(_failures(boxes, wiring))
     return ValidationReport(not failures, failures)
 
@@ -812,6 +800,27 @@ def knitted_from_json(obj: dict) -> KnittedDiagram:
 TEMPLATE_TRIES = 4000
 
 
+def _shuffles(rng: Random, m: int) -> Iterator[list[int]]:
+    """Shuffled copies of ``range(m)``, drawn exactly as ``rng.shuffle`` draws.
+
+    ``Random.shuffle`` swaps x[i] with x[j] for i = m - 1 down to 1, drawing j
+    by ``_randbelow_with_getrandbits(i + 1)``: ``getrandbits(k)`` with k =
+    (i + 1).bit_length(), again while j > i (Python 3.10 to 3.13). This loop
+    makes the same calls in turn, so it takes the same words: same list, same state.
+    """
+    getrandbits = rng.getrandbits
+    order = list(range(m))
+    steps = [(i, (i + 1).bit_length()) for i in range(m - 1, 0, -1)]
+    while True:
+        targets = order[:]
+        for i, k in steps:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            targets[i], targets[j] = targets[j], targets[i]
+        yield targets
+
+
 def random_template(
     rng: Random, max_boxes: int, max_strands: int
 ) -> tuple[KnittedTemplate, int]:
@@ -819,34 +828,24 @@ def random_template(
 
     The box profile is drawn first and wirings are resampled for that fixed
     profile; otherwise hard profiles (valid wirings are rare for three
-    3-strand boxes) would be crowded out by easy ones. Each try shuffles a
-    copy of the flat endpoint indices of the profile (see ``_flat``), and
-    ``random.shuffle`` draws by the length of the list alone, so the rng
-    stream does not depend on what the list holds. A try is refused at the
-    first box that a Seifert circle meets twice, by ``_repeats``, with no
-    wiring built; only a try that passes builds its wiring and a template,
-    whose constructor checks it once and raises ``TemplateError`` if it is
-    outside the class. Raises ValueError if no try succeeds.
+    3-strand boxes) would be crowded out by easy ones. Each try is drawn by
+    ``_shuffles``, by the number of endpoints alone, and refused by
+    ``_repeats_a_box`` with no wiring built, or else at the first failure of
+    ``_failures``. The constructor checks the wiring kept once more. Raises
+    ValueError if no try succeeds.
     """
     total = 0
     for _ in range(20):
-        boxes = tuple(
-            rng.randint(1, max_strands) for _ in range(rng.randint(1, max_boxes))
-        )
+        boxes = tuple(rng.randint(1, max_strands) for _ in range(rng.randint(1, max_boxes)))
         endpoints = [(b, p) for b, n in enumerate(boxes) for p in range(n)]
         box_of = [b for b, _ in endpoints]
-        order = list(range(len(endpoints)))
-        for _ in range(TEMPLATE_TRIES):
+        for targets in itertools.islice(_shuffles(rng, len(endpoints)), TEMPLATE_TRIES):
             total += 1
-            targets = order[:]
-            rng.shuffle(targets)
-            if next(_repeats(targets, box_of), None) is not None:
+            if _repeats_a_box(targets, box_of):
                 continue
             wiring = tuple(zip(endpoints, [endpoints[j] for j in targets]))
-            try:
+            if next(_failures(boxes, wiring), None) is None:
                 return KnittedTemplate(boxes, wiring), total
-            except TemplateError:
-                continue
     raise ValueError(
         f"no valid template found in {total} tries "
         f"(max_boxes={max_boxes}, max_strands={max_strands})"

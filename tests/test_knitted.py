@@ -103,15 +103,23 @@ def test_braid_closure_template_is_valid():
 
 
 def test_template_strands_and_endpoints_are_integers_only():
-    # int() built the 2-strand closure template from each of these
+    # int() built the 2-strand closure template from the first three; validate
+    # converts as the constructor does, so it raises at the boundary too, where
+    # it reported the float count of the fourth as a matching failure and
+    # failed inside on the last two
     closure = (((0, 0), (0, 0)), ((0, 1), (0, 1)))
     for boxes, wiring in (
         ((2.7,), (((0, 0.9), (0, 0)), ((0, 1), (0, 1.2)))),
         (("2",), closure),
         ((2,), (((0, "0"), (0, 0)), ((0, 1), (0, 1)))),
+        ((2.7,), closure),
+        ((2,), (((0, 0.0), (0, 0)), ((0, 1), (0, 1)))),
+        (("2",), ()),
     ):
         with pytest.raises(TypeError):
             KnittedTemplate(boxes, wiring)
+        with pytest.raises(TypeError):
+            validate(boxes, wiring)
     assert KnittedTemplate((2,), closure) == braid_closure_template(2)
 
 
@@ -159,7 +167,7 @@ def test_planarity_implies_no_circle_passes_through_a_box_twice():
                 if passes_twice:
                     twice += 1
                     assert not knitted._ribbon_planar(boxes, wiring), (boxes, wiring)
-                refuses = next(knitted._repeats(nxt, box_of), None) is not None
+                refuses = knitted._repeats_a_box(nxt, box_of)
                 refused += refuses
                 reported = any("more than once" in f for f in validate(boxes, wiring).failures)
                 assert refuses == reported == passes_twice, (boxes, wiring)
@@ -181,11 +189,12 @@ def _bijective_wirings(draw):
 @given(_bijective_wirings())
 def test_constructor_refuses_exactly_what_the_sampler_rejects(case):
     boxes, wiring = case
-    # the sampler refuses a try by the early-exit "twice" walk, and checks
-    # one that passes once, by building it: the walk refuses nothing the
-    # constructor accepts, and the constructor reports what _failures finds
+    # the sampler refuses a try by the "twice" walk, then by the first
+    # failure of _failures, and builds only a try that passes both: the walk
+    # refuses nothing the constructor accepts, and the constructor reports
+    # what _failures finds
     if (
-        next(knitted._repeats(*knitted._flat(boxes, wiring)), None) is None
+        not knitted._repeats_a_box(*knitted._flat(boxes, wiring))
         and next(knitted._failures(boxes, wiring), None) is None
     ):
         KnittedTemplate(boxes, wiring)
@@ -908,6 +917,20 @@ def test_json_rejects_huge_strand_counts_at_once():
     assert proc.stdout.strip() == (
         "invalid knitted template: wiring must use every box output exactly once"
     ), proc.stderr
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64), st.integers(0, 200))
+def test_the_sampler_shuffles_as_random_shuffle_does(seed, m):
+    # the unrolled Fisher-Yates must take the same Mersenne Twister words in
+    # the same order, or every pinned sample and retry count would move
+    rng, ref = Random(seed), Random(seed)
+    shuffles = knitted._shuffles(rng, m)
+    for _ in range(2):
+        expected = list(range(m))
+        ref.shuffle(expected)
+        assert next(shuffles) == expected
+        assert rng.getstate() == ref.getstate()
 
 
 def test_random_template_respects_bounds_and_validates():
