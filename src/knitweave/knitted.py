@@ -32,9 +32,9 @@ oriented curve has one of them on its left and the other on its right all
 along. Both passes run upward, so the segment leaves the pass at p on its
 right side and reaches the pass at q from its left side: it joins the two
 regions without meeting C, which is impossible. So the "twice" check never
-rejects a planar wiring. ``_repeats_a_box`` decides it for the sampler, which
-refuses most random wirings by it alone, and ``_failures`` reads it off the
-circles it lists, before the ribbon-graph trace runs.
+rejects a planar wiring. The sampler refuses most random wirings by it:
+``_shuffles`` at their first same-box wire, ``_repeats_a_box`` the rest, and
+``_failures`` reads it off the circles it lists, before the ribbon trace runs.
 
 ``KnittedTemplate`` checks every condition when it is built, so a template
 that exists is in the class and nothing downstream checks again.
@@ -127,7 +127,7 @@ class KnittedTemplate:
             raise ValueError("a template needs at least one box")
         if any(n < 1 for n in self.boxes):
             raise ValueError("every box needs at least one strand")
-        report = validate(self.boxes, self.wiring)
+        report = validate(self.boxes, self.wiring)  # converts no _Wiring again
         if not report.ok:
             raise TemplateError(report)
 
@@ -162,12 +162,18 @@ class TemplateError(ValueError):
         self.report = report
 
 
+class _Wiring(tuple):
+    """Sorted int endpoint pairs from ``_integers``, which it passes on unconverted."""
+
+
 def _integers(
     boxes: Sequence[int], wiring: Sequence[tuple[Endpoint, Endpoint]]
 ) -> tuple[tuple[int, ...], tuple[tuple[Endpoint, Endpoint], ...]]:
     """Strand counts and the sorted wiring as ints; a float or a string raises TypeError."""
-    pairs = (((index(ob), index(op)), (index(ib), index(ip))) for (ob, op), (ib, ip) in wiring)
-    return tuple(map(index, boxes)), tuple(sorted(pairs))
+    if type(wiring) is not _Wiring:
+        pairs = (((index(ob), index(op)), (index(ib), index(ip))) for (ob, op), (ib, ip) in wiring)
+        wiring = _Wiring(sorted(pairs))
+    return tuple(map(index, boxes)), wiring
 
 
 def _flat(
@@ -210,8 +216,8 @@ def _circles(nxt: Sequence[int], box_of: Sequence[int]) -> list[list[int]]:
 
 def _repeats_a_box(nxt: Sequence[int], box_of: Sequence[int]) -> bool:
     """Whether a Seifert circle passes through a box twice: each cycle of
-    ``nxt`` is walked with a bitmask of the boxes it has met, to the first repeat.
-    """
+    ``nxt`` is walked with a bitmask of the boxes it has met, to the first
+    repeat. The sampler asks it only of the tries ``_shuffles`` kept."""
     seen = bytearray(len(nxt))
     for start in range(len(nxt)):
         met = 0
@@ -800,24 +806,33 @@ def knitted_from_json(obj: dict) -> KnittedDiagram:
 TEMPLATE_TRIES = 4000
 
 
-def _shuffles(rng: Random, m: int) -> Iterator[list[int]]:
-    """Shuffled copies of ``range(m)``, drawn exactly as ``rng.shuffle`` draws.
+def _shuffles(rng: Random, box_of: Sequence[int]) -> Iterator[list[int] | None]:
+    """Copies of ``range(len(box_of))`` shuffled exactly as by ``rng.shuffle``,
+    or None for a copy wiring an output i > 0 into another input of its box.
 
-    ``Random.shuffle`` swaps x[i] with x[j] for i = m - 1 down to 1, drawing j
-    by ``_randbelow_with_getrandbits(i + 1)``: ``getrandbits(k)`` with k =
-    (i + 1).bit_length(), again while j > i (Python 3.10 to 3.13). This loop
-    makes the same calls in turn, so it takes the same words: same list, same state.
+    ``Random.shuffle`` swaps x[i] with x[j] for i = len(x) - 1 down to 1, drawing
+    j by ``getrandbits(k)``, k = (i + 1).bit_length(), again while j > i
+    (``_randbelow_with_getrandbits``, Python 3.10 to 3.13); this loop makes the
+    same calls in turn. After step i, t = x[i] is final: a t != i in the box of i
+    takes the circle through output i into that box at t and at i, which
+    ``_repeats_a_box`` refuses. Later steps still draw until a word is at most i,
+    and how many words that takes never reads the list: same words, same state.
     """
     getrandbits = rng.getrandbits
-    order = list(range(m))
-    steps = [(i, (i + 1).bit_length()) for i in range(m - 1, 0, -1)]
+    order = list(range(len(box_of)))
+    steps = [(i, (i + 1).bit_length()) for i in range(len(box_of) - 1, 0, -1)]
     while True:
         targets = order[:]
-        for i, k in steps:
+        for i, k in (rest := iter(steps)):
             j = getrandbits(k)
             while j > i:
                 j = getrandbits(k)
             targets[i], targets[j] = targets[j], targets[i]
+            if (t := targets[i]) != i and box_of[t] == box_of[i]:
+                targets = None
+                for i, k in rest:  # draws the rest of the words, and ends the loop
+                    while getrandbits(k) > i:
+                        pass
         yield targets
 
 
@@ -829,19 +844,19 @@ def random_template(
     The box profile is drawn first and wirings are resampled for that fixed
     profile; otherwise hard profiles (valid wirings are rare for three
     3-strand boxes) would be crowded out by easy ones. Each try is drawn by
-    ``_shuffles``, by the number of endpoints alone, and refused by
-    ``_repeats_a_box`` with no wiring built, or else at the first failure of
-    ``_failures``. The constructor checks the wiring kept once more. Raises
-    ValueError if no try succeeds.
+    ``_shuffles``, which gives most of them up (None, still counted) at their
+    first same-box wire; a try kept is refused by ``_repeats_a_box`` with no
+    wiring built, or else at the first failure of ``_failures``. The
+    constructor checks the wiring kept once more. Raises ValueError if no try succeeds.
     """
     total = 0
     for _ in range(20):
         boxes = tuple(rng.randint(1, max_strands) for _ in range(rng.randint(1, max_boxes)))
         endpoints = [(b, p) for b, n in enumerate(boxes) for p in range(n)]
         box_of = [b for b, _ in endpoints]
-        for targets in itertools.islice(_shuffles(rng, len(endpoints)), TEMPLATE_TRIES):
+        for targets in itertools.islice(_shuffles(rng, box_of), TEMPLATE_TRIES):
             total += 1
-            if _repeats_a_box(targets, box_of):
+            if targets is None or _repeats_a_box(targets, box_of):
                 continue
             wiring = tuple(zip(endpoints, [endpoints[j] for j in targets]))
             if next(_failures(boxes, wiring), None) is None:

@@ -920,16 +920,29 @@ def test_json_rejects_huge_strand_counts_at_once():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**64), st.integers(0, 200))
-def test_the_sampler_shuffles_as_random_shuffle_does(seed, m):
+@given(
+    st.integers(0, 2**64),
+    st.one_of(
+        st.lists(st.integers(1, 6), min_size=1, max_size=6).map(
+            lambda boxes: [b for b, n in enumerate(boxes) for _ in range(n)]
+        ),
+        # one strand per box: no wire joins two inputs of a box, so nothing is refused
+        st.integers(0, 200).map(lambda m: list(range(m))),
+    ),
+)
+def test_the_sampler_shuffles_as_random_shuffle_does(seed, box_of):
     # the unrolled Fisher-Yates must take the same Mersenne Twister words in
-    # the same order, or every pinned sample and retry count would move
+    # the same order, also after it gives a try up, or every pinned sample and
+    # retry count would move; it gives up exactly the lists that wire some
+    # output i > 0 into another input of its own box (output 0, wired by the
+    # last swap, is left to _repeats_a_box)
     rng, ref = Random(seed), Random(seed)
-    shuffles = knitted._shuffles(rng, m)
+    shuffles = knitted._shuffles(rng, box_of)
     for _ in range(2):
-        expected = list(range(m))
+        expected = list(range(len(box_of)))
         ref.shuffle(expected)
-        assert next(shuffles) == expected
+        same_box = any(t != i and box_of[t] == box_of[i] for i, t in enumerate(expected) if i)
+        assert next(shuffles) == (None if same_box else expected)
         assert rng.getstate() == ref.getstate()
 
 
