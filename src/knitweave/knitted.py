@@ -127,7 +127,7 @@ class KnittedTemplate:
             raise ValueError("a template needs at least one box")
         if any(n < 1 for n in self.boxes):
             raise ValueError("every box needs at least one strand")
-        report = validate(self.boxes, self.wiring)  # converts no _Wiring again
+        report = validate(self.boxes, self.wiring)
         if not report.ok:
             raise TemplateError(report)
 
@@ -162,18 +162,12 @@ class TemplateError(ValueError):
         self.report = report
 
 
-class _Wiring(tuple):
-    """Sorted int endpoint pairs from ``_integers``, which it passes on unconverted."""
-
-
 def _integers(
     boxes: Sequence[int], wiring: Sequence[tuple[Endpoint, Endpoint]]
 ) -> tuple[tuple[int, ...], tuple[tuple[Endpoint, Endpoint], ...]]:
     """Strand counts and the sorted wiring as ints; a float or a string raises TypeError."""
-    if type(wiring) is not _Wiring:
-        pairs = (((index(ob), index(op)), (index(ib), index(ip))) for (ob, op), (ib, ip) in wiring)
-        wiring = _Wiring(sorted(pairs))
-    return tuple(map(index, boxes)), wiring
+    pairs = (((index(ob), index(op)), (index(ib), index(ip))) for (ob, op), (ib, ip) in wiring)
+    return tuple(map(index, boxes)), tuple(sorted(pairs))
 
 
 def _flat(
