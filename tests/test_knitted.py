@@ -919,8 +919,8 @@ def test_json_rejects_huge_strand_counts_at_once():
     ), proc.stderr
 
 
-# one_of splits the examples between the two profiles, so the long lists of
-# range(m), where the unrolled loop takes its widest words, keep about 200
+# one_of splits the examples between the two profiles; 400 gives the long
+# range(m) lists, where the unrolled loop takes its widest words, about 200
 @settings(max_examples=400, deadline=None)
 @given(
     st.integers(0, 2**64),
