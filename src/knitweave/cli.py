@@ -78,10 +78,12 @@ MAX_BOXES = 64
 
 # The longest random-test --max-word-length accepted. Every box word of a
 # campaign sample is drawn letter by letter and its closure is evaluated by
-# skein recursion, whose time grows quickly with the crossings: a 2-strand,
-# 3-sample campaign at length 100 passed in 16 s at seed 1 and was still
-# running after 150 s at seed 2 (2-core x86 host); --max-word-length
-# 100000000 was still drawing its first word after 60 s.
+# skein recursion, whose time grows quickly with the crossings. Direct skein
+# first takes out the cancelling pairs that random signed words are full of,
+# so a 2-strand, 3-sample campaign at length 100 passes in about 0.2 s
+# (seeds 0-9), but at --max-strands 4 seeds 2 and 3 were still in direct
+# skein after 60 s (2-core x86 host); --max-word-length 100000000 was still
+# drawing its first word after 60 s.
 MAX_WORD_LENGTH = 100
 
 # The most cells (rows x columns) render_table lays out. The grid spans every

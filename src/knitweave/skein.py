@@ -36,12 +36,27 @@ takes crossings out by splicing: a smoothing removes a crossing by its two
 oriented splices, and a kink is a smoothing whose curl is not counted as a
 circle, at a factor of v^-sign (a crossing with both equalities leaves one
 free loop). ``_framed``, the evaluation ``homfly_framed`` runs after its
-planarity check, removes the root's kinks before the first lookup. Below
-the root only a smoothing can make a kink: switching a crossing maps the
-two kink conditions onto each other, splitting into pieces keeps every arc
-label, and only a splice joins two arcs, which can close a strand back onto
-a crossing next to the smoothed one. So the routine checks the crossings
-its splices rename, and removes any kinks, and those their removal exposes,
+planarity check, reduces the root before the first lookup: it removes kinks
+and cancelling bigons until neither is left. A cancelling bigon (an R2
+pair) is two crossings of opposite sign, neither a kink, joined by two arcs
+with the same strand over at both; the strands run parallel (under_out to
+under_in and over_out to over_in) or antiparallel (one arc each way). Each
+crossing is spliced straight through, which keeps the writhe; a strand that
+closes up is a free loop. At both crossings the two arcs use adjacent
+ports, and with opposite signs and one over strand the corners between
+them open to the same side of the loop they make (changing either the
+signs or the over strand turns them to opposite sides; changing both gives
+a twist). So the bigon bounds a face of its piece, inside which only a
+split piece can sit, and H factors that out. R2 is then a regular isotopy,
+and the framed H does not change. Bigons are removed at the root only,
+where random signed box words leave them: below it a switch makes one from
+every twist, as on the closure of sigma_1^k, and removing those would
+change the recursion of every diagram (ROADMAP item 10). Below the root
+only a smoothing can make a kink: switching a crossing maps the two kink
+conditions onto each other, splitting into pieces keeps every arc label,
+and only a splice joins two arcs, which can close a strand back onto a
+crossing next to the smoothed one. So the routine checks the crossings its
+splices rename, and removes any kinks, and those their removal exposes,
 before the smoothed child's lookup.
 
 The memo table is module-level state shared by every evaluation in the
@@ -153,32 +168,43 @@ def _switch(crossings: tuple[Crossing, ...], idx: int) -> tuple[Crossing, ...]:
 def _remove(
     crossings: tuple[Crossing, ...], idx: int | None
 ) -> tuple[tuple[Crossing, ...], int, int]:
-    """Smooth crossing ``idx`` out (none at the root), then remove every kink.
+    """Smooth crossing ``idx`` out, or reduce the root (``idx`` None).
 
-    A crossing is removed by its two oriented splices, under_in->over_out
-    and over_in->under_out. Each splice keeps the in-arc's name, gives it to
-    the port that consumes the dropped out-arc, and closes a circle if that
-    port is on the removed crossing itself. A kink is removed the same way,
-    but one of its circles is its own curl, which is not counted, and the
-    value gains v^-sign. A crossing becomes a kink only when a splice renames
-    it, so only renamed crossings are checked again, and removals cascade;
-    at the root every crossing is checked. Returns the rest, the circles
-    closed, and the writhe w of the removed kinks: the input's value is v^-w
-    times that of the rest with the circles as free loops.
+    A crossing is removed by splicing each of two in-arcs to an out-arc:
+    under_in->over_out and over_in->under_out to smooth it, under_in->
+    under_out and over_in->over_out to go straight through. Each splice keeps
+    the in-arc's name, gives it to the port that consumes the dropped
+    out-arc, and closes a circle if that port is on the removed crossing
+    itself. A kink is smoothed, but its curl is not counted as a circle, and
+    the value gains v^-sign. At the root both crossings of a cancelling
+    bigon go straight through. A splice joins the kept arc's maker to the
+    dropped arc's consumer, and a kink or bigon forms only there: a kink when
+    the two are one crossing, a bigon seen from the maker. So the consumer is
+    checked for a kink again, and at the root the maker for a bigon, once no
+    kink is left; removals cascade, and at the root every crossing is
+    checked. Returns the rest, the circles closed, and the writhe w of the
+    removed kinks: the input's value is v^-w times that of the rest with the
+    circles as free loops.
     """
+    root = idx is None
     rows = [list(c) for c in crossings]
     consumer: dict[int, tuple[int, int]] = {}
     for k, (_, ui, oi, _uo, _oo) in enumerate(crossings):
         consumer[ui] = (k, 1)
         consumer[oi] = (k, 2)
     removed = [False] * len(rows)
-    check = list(range(len(rows))) if idx is None else []
+    check = list(range(len(rows))) if root else []
+    # a bigon needs both signs; a tuple of a tuple sum, made of positive
+    # permutation braids, has one
+    pairs = list(check) if root and len({c[0] for c in crossings}) > 1 else []
+    # a splice renames in-ports only, so every arc keeps its maker
+    maker = {a: k for k, c in enumerate(crossings) for a in c[3:]} if pairs else {}
 
-    def splice(k: int) -> int:
+    def splice(k: int, straight: bool = False) -> int:
         removed[k] = True
         _, ui, oi, uo, oo = rows[k]
         circles = 0
-        for keep, drop in ((ui, oo), (oi, uo)):
+        for keep, drop in ((ui, uo), (oi, oo)) if straight else ((ui, oo), (oi, uo)):
             j, port = consumer[drop]
             if j == k:
                 circles += 1
@@ -186,16 +212,35 @@ def _remove(
                 rows[j][port] = keep
                 consumer[keep] = (j, port)
                 check.append(j)
+                if maker:
+                    pairs.append(maker[keep])
         return circles
 
-    loops = 0 if idx is None else splice(idx)
+    loops = 0 if root else splice(idx)
     w = 0
-    while check:
-        k = check.pop()
-        s, ui, oi, uo, oo = rows[k]
-        if not removed[k] and (uo == oi or oo == ui):
-            loops += splice(k) - 1
-            w += s
+    while check or pairs:
+        if check:
+            k = check.pop()
+            s, ui, oi, uo, oo = rows[k]
+            if not removed[k] and (uo == oi or oo == ui):
+                loops += splice(k) - 1
+                w += s
+            continue
+        # every crossing a splice renamed has been checked, so no kink is left
+        k = pairs.pop()
+        if removed[k]:
+            continue
+        row = rows[k]
+        for r in (1, 2):
+            # b takes this strand on in its role (in-port r, out r + 2); the
+            # other strand runs into b, or back from b, in its role
+            b, port = consumer[row[r + 2]]
+            other = rows[b]
+            if port == r and other[0] != row[0] and (
+                consumer[row[5 - r]] == (b, 3 - r) or other[5 - r] == row[3 - r]
+            ):
+                loops += splice(k, True) + splice(b, True)
+                break
     rest = tuple(tuple(row) for row, gone in zip(rows, removed) if not gone)
     return rest, loops, w
 

@@ -503,6 +503,33 @@ def test_eval_hecke_closes_the_trees_and_sums_the_cycles(graph, data):
     assert eval_hecke(k) == homfly_framed(compile_diagram(k))
 
 
+def test_eval_hecke_equals_direct_skein_on_four_glued_four_cycles():
+    # a draw of the test above (hypothesis seed 5): four 4-cycles glued on
+    # a 6-cycle and onto each other. Its D has 46 crossings, and direct
+    # skein on it ran past 90 s until the root reduction, which removes the
+    # cancelling pairs of its signed box words and leaves 27
+    graph = PlaneBipartiteGraph(
+        18,
+        (
+            (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (4, 6), (6, 7),
+            (7, 8), (8, 4), (8, 9), (9, 10), (10, 11), (11, 8), (10, 12),
+            (12, 13), (13, 14), (14, 10), (10, 15), (15, 16), (16, 17), (17, 10),
+        ),
+        (
+            (5, 0), (0, 1), (1, 2), (2, 3), (3, 4, 6, 9), (4, 5), (6, 7), (7, 8),
+            (8, 10, 13, 9), (10, 11), (11, 14, 17, 18, 21, 12), (12, 13),
+            (14, 15), (15, 16), (16, 17), (18, 19), (19, 20), (20, 21),
+        ),
+    )
+    letters = (
+        (-1,), (1, -1, -1), (1, 1, 1), (-1, -1, 1), (-1, -1, 1), (-1, -1, -1),
+        (-1, -1, -1), (-1,), (1, 1), (), (-1, 1), (1, 1, -1), (1,), (), (1,),
+        (1, -1, 1), (1, 1), (1, -1, -1), (-1, -1, -1), (-1, -1, -1), (), (-1, 1, 1),
+    )
+    k = KnittedDiagram(from_bipartite_graph(graph), tuple(BraidWord(2, w) for w in letters))
+    assert eval_hecke(k) == homfly_framed(compile_diagram(k))
+
+
 def three_strand_leaf(leaf: int) -> KnittedTemplate:
     """Boxes of 3, 2, 2 and 2 strands whose circles make a 4-cycle A, B, D, C.
 
