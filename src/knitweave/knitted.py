@@ -36,10 +36,10 @@ rejects a planar wiring. The sampler refuses most random wirings by it:
 ``_shuffles`` at their first same-box wire, ``_repeats_a_box`` the rest, and
 ``_failures`` reads it off the circles it lists, before the ribbon trace runs.
 
-``KnittedTemplate`` checks every condition when it is built, so a template
-that exists is in the class and nothing downstream checks again.
-``validate(boxes, wiring)`` reports the failed conditions as data, and the
-``TemplateError`` the constructor raises carries that report.
+``validate(boxes, wiring)`` alone decides the class and reports the failed
+conditions as data, checking those after the matching on the flat permutation
+the sampler draws. ``KnittedTemplate`` raises its report as ``TemplateError``,
+so a template that exists is in the class and nothing downstream checks again.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ Endpoint = tuple[int, int]
 class KnittedTemplate:
     """Braid boxes plus a wiring bijection from outputs to inputs.
 
-    Construction checks every template condition, so a template that exists
-    is in the paper's class; a wiring outside it raises ``TemplateError``.
+    Construction hands every condition to ``validate``, so a template that
+    exists is in the paper's class; one outside it raises ``TemplateError``.
     Strand counts and endpoints are integers: a float or a string raises TypeError.
     """
 
@@ -123,12 +123,7 @@ class KnittedTemplate:
         boxes, wiring = _integers(self.boxes, self.wiring)
         object.__setattr__(self, "boxes", boxes)
         object.__setattr__(self, "wiring", wiring)
-        if not self.boxes:
-            raise ValueError("a template needs at least one box")
-        if any(n < 1 for n in self.boxes):
-            raise ValueError("every box needs at least one strand")
-        report = validate(self.boxes, self.wiring)
-        if not report.ok:
+        if not (report := validate(boxes, wiring)).ok:
             raise TemplateError(report)
 
 
@@ -226,60 +221,63 @@ def _repeats_a_box(nxt: Sequence[int], box_of: Sequence[int]) -> bool:
     return False
 
 
-def _ribbon_planar(
-    boxes: Sequence[int], wiring: Sequence[tuple[Endpoint, Endpoint]]
-) -> bool:
-    """Genus-0 test for the box-and-wire ribbon graph.
+def _ribbon_planar(boxes: Sequence[int], nxt: Sequence[int]) -> bool:
+    """Genus-0 test for the box-and-wire ribbon graph of the wiring ``nxt``.
 
     Each box is a vertex with counterclockwise port rotation
-    (in_0, ..., in_{n-1}, out_{n-1}, ..., out_0); each wire is an edge. Box b
-    owns the half-edges start[b] .. start[b + 1] - 1 in that order.
+    (in_0, ..., in_{n-1}, out_{n-1}, ..., out_0); each wire is an edge.
+    Input i of ``_flat`` is half-edge i and output i is half-edge len(nxt) + i.
     """
-    start = list(itertools.accumulate((2 * n for n in boxes), initial=0))
-    partner = [0] * start[-1]
-    for (ob, op), (ib, ip) in wiring:
-        out_h, in_h = start[ob + 1] - 1 - op, start[ib] + ip
-        partner[out_h], partner[in_h] = in_h, out_h
-    return _genus_zero([range(a, b) for a, b in zip(start, start[1:])], partner)
+    m = len(nxt)
+    partner = [0] * m + list(nxt)
+    for i, j in enumerate(nxt):
+        partner[j] = m + i
+    at = list(itertools.accumulate(boxes, initial=0))
+    rotations = [[*range(a, b), *reversed(range(m + a, m + b))] for a, b in zip(at, at[1:])]
+    return _genus_zero(rotations, partner)
 
 
 def _matching_failures(
     boxes: Sequence[int], wiring: Sequence[tuple[Endpoint, Endpoint]]
 ) -> Iterator[str]:
-    """The failure of the first condition, if any: the wiring is not a perfect
-    matching of the box outputs to the box inputs.
+    """The failure of the first stage, if any: no box, a box of no strand, or
+    a wiring that is not a perfect matching of the box outputs to the inputs.
 
     The count is checked first, so a box of a huge strand count is refused
     without listing its endpoints.
     """
-    if len(wiring) != sum(boxes):
+    if not boxes:
+        yield "a template needs at least one box"
+    elif min(boxes) < 1:
+        yield "every box needs at least one strand"
+    elif len(wiring) != sum(boxes):
         yield "wiring must use every box output exactly once"
-        return
-    # with the count right, a wiring that reaches every endpoint reaches each once
-    expected = {(b, p) for b, n in enumerate(boxes) for p in range(n)}
-    if {src for src, _ in wiring} != expected:
-        yield "wiring must use every box output exactly once"
-    elif {dst for _, dst in wiring} != expected:
-        yield "wiring must use every box input exactly once"
+    else:
+        # with the count right, a wiring that reaches every endpoint reaches each once
+        expected = {(b, p) for b, n in enumerate(boxes) for p in range(n)}
+        if {src for src, _ in wiring} != expected:
+            yield "wiring must use every box output exactly once"
+        elif {dst for _, dst in wiring} != expected:
+            yield "wiring must use every box input exactly once"
 
 
 def _failures(
-    boxes: Sequence[int], wiring: Sequence[tuple[Endpoint, Endpoint]]
+    boxes: Sequence[int], nxt: Sequence[int], box_of: Sequence[int]
 ) -> Iterator[str]:
-    """Each failed condition after the matching, lazily and cheapest first.
+    """Each failed condition after the first stage, lazily and cheapest first.
 
-    ``wiring`` must be a bijection from the box outputs to the box inputs, in
-    any order. Almost every random wiring already fails a circle check, so the
-    ribbon face trace runs last. One walk lists the circles, and each circle's
-    list gives its repeated boxes, which planarity rules out (see the module
-    docstring), and its set of boxes. The template is checked before the
-    CLI's strand limit, so no step is quadratic in the strands of one box:
-    circles that share two boxes are found through the pairs of boxes each
-    one meets, not by comparing every pair of circles.
+    ``nxt`` and ``box_of`` are the flat wiring permutation of ``_flat``, as
+    the sampler draws it. Almost every random wiring already fails a circle
+    check, so the ribbon face trace runs last. One walk lists the circles,
+    and each circle's list gives its repeated boxes, which planarity rules
+    out (see the module docstring), and its set of boxes. The template is
+    checked before the CLI's strand limit, so no step is quadratic in the
+    strands of one box: circles that share two boxes are found through the
+    pairs of boxes each one meets, not by comparing every pair of circles.
     """
     incidence: list[set[int]] = []
     on_pair: dict[tuple[int, int], list[int]] = {}
-    for circle, visits in enumerate(_circles(*_flat(boxes, wiring))):
+    for circle, visits in enumerate(_circles(nxt, box_of)):
         incidence.append(met := set(visits))
         if len(met) < len(visits):
             dups = sorted(b for b, count in Counter(visits).items() if count > 1)
@@ -289,7 +287,7 @@ def _failures(
     sharing = {ij for on in on_pair.values() for ij in itertools.combinations(on, 2)}
     for i, j in sorted(sharing):
         yield f"circles {i} and {j} share boxes {sorted(incidence[i] & incidence[j])}"
-    if not _ribbon_planar(boxes, wiring):
+    if not _ribbon_planar(boxes, nxt):
         yield "wiring is not realizable in the plane around the boxes"
 
 
@@ -298,13 +296,14 @@ def validate(
 ) -> ValidationReport:
     """Check all template conditions; failures are data, not exceptions.
 
-    ``boxes`` holds positive strand counts and ``wiring`` any sequence of
-    (output, input) endpoint pairs, all integers as in ``KnittedTemplate``. A
-    wiring that is not a perfect matching is reported as that one failure,
-    and the other conditions, defined on matchings only, are not checked.
+    The one decider of the class: ``KnittedTemplate`` raises this report.
+    Strand counts and endpoints are integers. No box, a box of no strand, or
+    a wiring that is not a perfect matching is the one failure reported; the
+    other conditions are checked only past them, on ``_flat``'s permutation.
     """
     boxes, wiring = _integers(boxes, wiring)
-    failures = tuple(_matching_failures(boxes, wiring)) or tuple(_failures(boxes, wiring))
+    failures = tuple(_matching_failures(boxes, wiring))
+    failures = failures or tuple(_failures(boxes, *_flat(boxes, wiring)))
     return ValidationReport(not failures, failures)
 
 
@@ -839,9 +838,9 @@ def random_template(
     profile; otherwise hard profiles (valid wirings are rare for three
     3-strand boxes) would be crowded out by easy ones. Each try is drawn by
     ``_shuffles``, which gives most of them up (None, still counted) at their
-    first same-box wire; a try kept is refused by ``_repeats_a_box`` with no
-    wiring built, or else at the first failure of ``_failures``. The
-    constructor checks the wiring kept once more. Raises ValueError if no try succeeds.
+    first same-box wire; a try kept is refused by ``_repeats_a_box`` or at the
+    first failure of ``_failures``, both on the drawn list. Only a try that
+    passes becomes a wiring. Raises ValueError if no try succeeds.
     """
     total = 0
     for _ in range(20):
@@ -852,8 +851,8 @@ def random_template(
             total += 1
             if targets is None or _repeats_a_box(targets, box_of):
                 continue
-            wiring = tuple(zip(endpoints, [endpoints[j] for j in targets]))
-            if next(_failures(boxes, wiring), None) is None:
+            if next(_failures(boxes, targets, box_of), None) is None:
+                wiring = tuple(zip(endpoints, [endpoints[j] for j in targets]))
                 return KnittedTemplate(boxes, wiring), total
     raise ValueError(
         f"no valid template found in {total} tries "

@@ -110,6 +110,24 @@ def counted_walks():
         diagram._walk = real
 
 
+@contextmanager
+def counted_tokens():
+    """Count the tokens every ``_walk`` yields."""
+    real = diagram._walk
+    count = [0]
+
+    def counting(table, start, order):
+        for token in real(table, start, order):
+            count[0] += 1
+            yield token
+
+    diagram._walk = counting
+    try:
+        yield count
+    finally:
+        diagram._walk = real
+
+
 @settings(max_examples=300, deadline=None)
 @given(diagrams, st.integers(0, 3))
 @example(_KINKS[0], 0)
@@ -166,6 +184,20 @@ def test_one_walk_per_crossing_of_each_pieces_smallest_sign(crossings):
     with counted_walks() as starts:
         canonical_raw(crossings, 0)
     assert len(starts) == expected
+
+
+def test_the_race_drops_a_walk_at_its_first_losing_token():
+    # closures of random words, signed and positive: the walks yield 2.4 to
+    # 3.3 tokens per key token, where walking every candidate to the end and
+    # keeping the least stream yields 39 to 109
+    for seed in range(3):
+        rng = Random(seed)
+        for n, length, signs in ((4, 100, (1, -1)), (4, 100, (1,)), (6, 200, (1, -1))):
+            letters = tuple(rng.choice(signs) * rng.randint(1, n - 1) for _ in range(length))
+            raw = braid_closure(BraidWord(n, letters)).crossings
+            with counted_tokens() as tokens:
+                key = canonical_raw(raw, 0)
+            assert tokens[0] <= 4 * sum(map(len, key[0])), (seed, n, signs)
 
 
 def test_keys_of_multi_component_links_are_pinned():

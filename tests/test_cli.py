@@ -481,7 +481,7 @@ def test_invalid_knitted_template_exits_2_at_load(tmp_path, capsys):
     crossed = {"boxes": [{"strands": 2, "word": [1]}], "wiring": [["b0.out0", "b0.in1"], ["b0.out1", "b0.in0"]]}
     cases = (
         (crossed, ("error: invalid knitted template: ", "more than once", "not realizable in the plane")),
-        ({"boxes": [], "wiring": []}, ("error: a template needs at least one box",)),
+        ({"boxes": [], "wiring": []}, ("error: invalid knitted template: a template needs at least one box",)),
     )
     path = tmp_path / "bad.json"
     for obj, phrases in cases:

@@ -9,7 +9,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from naive_skein import naive_homfly_framed
 
@@ -166,7 +166,7 @@ def test_planarity_implies_no_circle_passes_through_a_box_twice():
                 passes_twice = any(len(set(v)) < len(v) for v in knitted._circles(nxt, box_of))
                 if passes_twice:
                     twice += 1
-                    assert not knitted._ribbon_planar(boxes, wiring), (boxes, wiring)
+                    assert not knitted._ribbon_planar(boxes, nxt), (boxes, wiring)
                 refuses = knitted._repeats_a_box(nxt, box_of)
                 refused += refuses
                 reported = any("more than once" in f for f in validate(boxes, wiring).failures)
@@ -195,18 +195,59 @@ def test_constructor_refuses_exactly_what_the_sampler_rejects(case):
     # what _failures finds
     if (
         not knitted._repeats_a_box(*knitted._flat(boxes, wiring))
-        and next(knitted._failures(boxes, wiring), None) is None
+        and next(knitted._failures(boxes, *knitted._flat(boxes, wiring)), None) is None
     ):
         KnittedTemplate(boxes, wiring)
     else:
         with pytest.raises(TemplateError) as err:
             KnittedTemplate(boxes, wiring)
-        assert err.value.report.failures == tuple(knitted._failures(boxes, wiring))
+        assert err.value.report.failures == tuple(knitted._failures(boxes, *knitted._flat(boxes, wiring)))
+
+
+@st.composite
+def _any_templates(draw):
+    """Up to three boxes, of 1 to 3 strands or, half the time, of -1 to 3 and
+    none at all, wired by a random bijection of their endpoints or by any few
+    endpoint pairs."""
+    positive = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+    boxes = tuple(draw(st.one_of(positive, st.lists(st.integers(-1, 3), max_size=3))))
+    ends = [(b, p) for b, n in enumerate(boxes) for p in range(n)]
+    if ends and draw(st.booleans()):
+        return boxes, tuple(zip(ends, draw(st.permutations(ends))))
+    end = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    return boxes, tuple(draw(st.lists(st.tuples(end, end), max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_templates())
+@example(((), ()))
+@example(((2, 0), (((0, 0), (0, 0)), ((0, 1), (0, 1)))))
+@example(((-1,), ()))
+def test_validate_accepts_exactly_what_the_constructor_builds(case):
+    # validate is the one decider: the constructor refuses every template it
+    # reports, by a TemplateError carrying that report, and builds the rest
+    boxes, wiring = case
+    report = validate(boxes, wiring)
+    if report.ok:
+        KnittedTemplate(boxes, wiring)
+    else:
+        with pytest.raises(TemplateError) as err:
+            KnittedTemplate(boxes, wiring)
+        assert err.value.report == report
 
 
 def test_a_template_needs_a_box():
-    with pytest.raises(ValueError, match="at least one box"):
-        KnittedTemplate((), ())
+    # the box checks come first: beside an empty box the 2-strand closure
+    # wiring is a perfect matching, and a negative box has no endpoint to wire
+    closure = (((0, 0), (0, 0)), ((0, 1), (0, 1)))
+    for boxes, wiring, failure in (
+        ((), (), "a template needs at least one box"),
+        ((2, 0), closure, "every box needs at least one strand"),
+        ((-1,), (), "every box needs at least one strand"),
+    ):
+        assert validate(boxes, wiring).failures == (failure,)
+        with pytest.raises(TemplateError, match=failure):
+            KnittedTemplate(boxes, wiring)
     # an edgeless graph has a vertex, so a Seifert circle, but no box to carry it
     with pytest.raises(ValueError, match="at least one box"):
         from_bipartite_graph(PlaneBipartiteGraph(1, (), ((),)))
@@ -680,9 +721,9 @@ def test_verify_theorem_checks_the_template_once(monkeypatch):
     traced = []
     ribbon_planar = knitted._ribbon_planar
 
-    def counting(boxes, wiring):
-        traced.append(wiring)
-        return ribbon_planar(boxes, wiring)
+    def counting(boxes, nxt):
+        traced.append(nxt)
+        return ribbon_planar(boxes, nxt)
 
     monkeypatch.setattr(knitted, "_ribbon_planar", counting)
     assert verify_theorem(showcase_knot()).passed
