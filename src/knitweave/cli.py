@@ -138,6 +138,8 @@ def _load_knitted(path: str) -> KnittedDiagram:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"{path}: invalid JSON: nested too deeply") from None
     return knitted_from_json(obj)
 
 
@@ -300,7 +302,10 @@ def cmd_table(args: argparse.Namespace, out) -> int:
         text = sys.stdin.read()
     else:
         text = Path(args.table_path).read_text()
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{args.table_path}: invalid JSON: nested too deeply") from None
     p = LaurentVZ.from_json_dict(obj)
     print(render_table(p), file=out)
     return EXIT_OK

@@ -226,24 +226,6 @@ def planarity_check(d: PlanarDiagram) -> bool:
     return _genus_zero(rotations, partner)
 
 
-def _split_components(crossings: Sequence[Crossing]) -> list[tuple[Crossing, ...]]:
-    """Connected components of the crossing graph (arcs as adjacency).
-
-    Components come in order of their first crossing, crossings in input order.
-    """
-    first_at: dict[int, int] = {}
-    pairs = []
-    for idx, (_, ui, oi, uo, oo) in enumerate(crossings):
-        for a in (ui, oi, uo, oo):
-            first = first_at.setdefault(a, idx)
-            if first != idx:
-                pairs.append((first, idx))
-    groups: dict[int, list[Crossing]] = {}
-    for c, root in zip(crossings, _union_find(len(crossings), pairs)):
-        groups.setdefault(root, []).append(c)
-    return [tuple(g) for g in groups.values()]
-
-
 def _arc_table(crossings: Sequence[Crossing]) -> dict[int, tuple[int, int, int, int]]:
     """In-arc -> (crossing index, new-crossing token, next arc, other in-arc)."""
     table = {}
@@ -294,21 +276,23 @@ def _walk(
             base = a = next(iter(once))
 
 
-def canonical_raw(crossings: Sequence[Crossing], free_loops: int) -> tuple:
+def canonical_raw(
+    crossings: Sequence[Crossing], free_loops: int, table: Mapping[int, tuple[int, int, int, int]]
+) -> tuple:
     """Canonical form: sorted per-piece least token streams plus loop count.
 
-    Each connected piece is keyed by the least of the streams ``_walk`` yields
-    from its arcs. A stream opens with ``2*sign`` for a start at an under_in
-    and ``2*sign+1`` at an over_in, so the least is reached only from the
-    under_in of a crossing of the piece's smallest sign, and only those are
-    walked. The first such walk runs to the end and finds the piece. The
-    others then race it in lockstep, one token at a time: a walk drops out at
-    its first token above the least at that position, and one that goes below
-    takes the lead. Every stream of a piece has one token per arc and per
-    link component, so the race ends with the piece's stream.
+    The caller builds ``table = _arc_table(crossings)`` and may read it
+    again. Each connected piece is keyed by the least of the streams
+    ``_walk`` yields from its arcs. A stream opens with ``2*sign`` for a start
+    at an under_in and ``2*sign+1`` at an over_in, so the least is reached
+    only from the under_in of a crossing of the piece's smallest sign, and
+    only those are walked. The first such walk runs to the end and finds the
+    piece. The others then race it in lockstep, one token at a time: a walk
+    drops out at its first token above the least at that position, and one
+    that goes below takes the lead. Every stream of a piece has one token per
+    arc and per link component, so the race ends with the piece's stream.
     ``len(key[0])`` is the number of pieces.
     """
-    table = _arc_table(crossings)
     covered = [False] * len(crossings)
     streams = []
     for low in (-1, 1):

@@ -25,10 +25,12 @@ link component closes. No token names an arc, so the stream fixes the
 piece up to relabelling. Only the under_ins of the crossings of the piece's
 smallest sign can start the least stream; the first of those walks runs to
 the end and finds the piece, and the others race it in lockstep, each
-dropped at its first token above the least at that position. The key holds
-one stream per piece, so only a node whose key has several pieces or free
-loops is split again, keeping its arc labels; split diagrams factor as the
-product of their pieces times delta^(pieces-1).
+dropped at its first token above the least at that position. A node builds
+one in-arc table, ``diagram._arc_table``, for its key, its split and its
+violation walk. The key holds one stream per piece, and only a node of
+several pieces is split: a walk of the table covers a whole piece, keeping
+its arc labels. A node factors as the product of its pieces times
+delta^(pieces+free_loops-1).
 
 The memo holds kink-free diagrams only. A kink (an R1 curl) is a crossing
 with under_out == over_in or over_out == under_in. One routine, ``_remove``,
@@ -69,7 +71,7 @@ from knitweave.diagram import (
     Crossing,
     PlanarDiagram,
     _arc_table,
-    _split_components,
+    _walk,
     canonical_raw,
     planarity_check,
     seifert_circles,
@@ -87,9 +89,10 @@ __all__ = [
 _MEMO: dict[tuple, LaurentVZ] = {}
 
 
-def _first_violation(crossings: tuple[Crossing, ...]) -> tuple[int | None, int]:
+def _first_violation(table: dict[int, tuple[int, int, int, int]]) -> tuple[int | None, int]:
     """First crossing met on its under-strand (or None), and components walked.
 
+    ``table`` is the node's ``diagram._arc_table``, which its key read too.
     Link components are walked in order of smallest arc id, each following
     orientation through crossings from a base point; a violation is a
     crossing met first on its under-strand. A crossing met in an earlier
@@ -111,7 +114,6 @@ def _first_violation(crossings: tuple[Crossing, ...]) -> tuple[int | None, int]:
     every switch. With no violation every component is walked, so the
     count is the diagram's link component count.
     """
-    table = _arc_table(crossings)
     unwalked = set(table)
     seen: set[int] = set()
     walked = 0
@@ -249,21 +251,29 @@ def _eval(crossings: tuple[Crossing, ...], free_loops: int) -> LaurentVZ:
     if not crossings:
         # nonempty crossing-free diagram of k circles
         return delta_pow(free_loops - 1)
-    key = canonical_raw(crossings, free_loops)
+    table = _arc_table(crossings)
+    key = canonical_raw(crossings, free_loops, table)
     cached = _MEMO.get(key)
     if cached is not None:
         return cached
 
-    # the key holds one encoding per connected piece, so a one-piece diagram
-    # without free loops needs no second split
-    if len(key[0]) > 1 or free_loops:
-        comps = _split_components(crossings)
-        val = LaurentVZ.one()
-        for comp in comps:
-            val = val * _eval(comp, 0)
-        val = val * delta_pow(len(comps) + free_loops - 1)
+    # the key holds one stream per connected piece
+    pieces = len(key[0])
+    if pieces > 1:
+        # pieces in order of their first crossing, crossings in input order
+        covered: set[int] = set()
+        val = delta_pow(pieces + free_loops - 1)
+        for idx, c in enumerate(crossings):
+            if idx not in covered:
+                order: list[int] = []
+                for _ in _walk(table, c[1], order):
+                    pass
+                covered.update(order)
+                val = val * _eval(tuple(crossings[j] for j in sorted(order)), 0)
+    elif free_loops:
+        val = _eval(crossings, 0) * delta_pow(free_loops)
     else:
-        idx, walked = _first_violation(crossings)
+        idx, walked = _first_violation(table)
         if idx is None:
             w = sum(c[0] for c in crossings)
             val = LaurentVZ.monomial(-w, 0) * delta_pow(walked - 1)

@@ -1,21 +1,34 @@
 """A brute-force canonical memo key, used only as an oracle, and its inverse.
 
-``brute_force_canonical`` walks every connected piece from every one of its
-arcs and keeps the least stream, where ``diagram.canonical_raw`` walks only
-the start arcs that can give it and drops each walk at its first losing
-token. ``decode_piece`` rebuilds a piece from its stream.
+``brute_force_canonical`` walks the diagram from every one of its arcs,
+groups the walks by the connected piece each covers, and keeps the least
+stream of each piece, where ``diagram.canonical_raw`` walks only the start
+arcs that can give it and drops each walk at its first losing token.
+``decode_piece`` rebuilds a piece from its stream.
 """
 
 from __future__ import annotations
 
-from knitweave.diagram import _arc_table, _split_components, _walk
+from knitweave.diagram import _arc_table, _walk
+
+
+def walks_by_piece(crossings) -> dict[frozenset, list[tuple]]:
+    """The stream walked from every arc, keyed by the crossings it covers.
+
+    A walk never leaves its piece and covers all of it, so there is one key
+    per connected piece: the indices of its crossings.
+    """
+    table = _arc_table(crossings)
+    pieces: dict[frozenset, list[tuple]] = {}
+    for a in table:
+        covered: list[int] = []
+        stream = tuple(_walk(table, a, covered))
+        pieces.setdefault(frozenset(covered), []).append(stream)
+    return pieces
 
 
 def brute_force_canonical(crossings, free_loops: int) -> tuple:
-    streams = []
-    for piece in _split_components(crossings):
-        table = _arc_table(piece)
-        streams.append(min(tuple(_walk(table, a, [])) for a in table))
+    streams = [min(walks) for walks in walks_by_piece(crossings).values()]
     return (tuple(sorted(streams)), free_loops)
 
 

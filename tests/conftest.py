@@ -20,7 +20,13 @@ from __future__ import annotations
 import sys
 
 from knitweave import knitted, skein
-from knitweave.diagram import PlanarDiagram, canonical_raw, component_count, seifert_circles
+from knitweave.diagram import (
+    PlanarDiagram,
+    _arc_table,
+    canonical_raw,
+    component_count,
+    seifert_circles,
+)
 from knitweave.laurent import LaurentVZ
 from knitweave.skein import mfw_check, mp_vanishing
 
@@ -48,7 +54,8 @@ def _audit(d: PlanarDiagram, h: LaurentVZ) -> None:
     if minus_zero:
         assert not h.coeff_of_v(-s + 1), f"forced H- = 0 violated: H={h}"
     if len(d.crossings) <= _SMALL_LIMIT and len(small_diagrams) < _SMALL_CAP:
-        small_diagrams.setdefault(canonical_raw(d.crossings, d.free_loops), d)
+        key = canonical_raw(d.crossings, d.free_loops, _arc_table(d.crossings))
+        small_diagrams.setdefault(key, d)
 
 
 _real_framed = skein._framed

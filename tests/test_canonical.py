@@ -3,13 +3,13 @@
 from contextlib import contextmanager
 from random import Random
 
-from canonical_oracle import brute_force_canonical, decode_piece
+from canonical_oracle import brute_force_canonical, decode_piece, walks_by_piece
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knitweave import diagram
 from knitweave.braid import BraidWord, full_twist_word
-from knitweave.diagram import _split_components, canonical_raw
+from knitweave.diagram import _arc_table, canonical_raw
 from knitweave.knitted import braid_closure
 
 
@@ -140,7 +140,8 @@ def counted_tokens():
 @example(_RACES[3], 0)
 @example(_TWINS, 1)
 def test_canonical_raw_matches_all_arcs_minimum(crossings, free_loops):
-    assert canonical_raw(crossings, free_loops) == brute_force_canonical(crossings, free_loops)
+    key = canonical_raw(crossings, free_loops, _arc_table(crossings))
+    assert key == brute_force_canonical(crossings, free_loops)
 
 
 @settings(max_examples=200, deadline=None)
@@ -148,8 +149,9 @@ def test_canonical_raw_matches_all_arcs_minimum(crossings, free_loops):
 @example(_RACES[3])
 def test_each_stream_decodes_to_a_piece_with_that_stream(crossings):
     # equal streams therefore mean isomorphic pieces
-    for stream in canonical_raw(crossings, 0)[0]:
-        assert canonical_raw(decode_piece(stream), 0) == ((stream,), 0)
+    for stream in canonical_raw(crossings, 0, _arc_table(crossings))[0]:
+        piece = decode_piece(stream)
+        assert canonical_raw(piece, 0, _arc_table(piece)) == ((stream,), 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -163,13 +165,14 @@ def test_canonical_raw_ignores_arc_labels_and_crossing_order(crossings, free_loo
         for s, ui, oi, uo, oo in crossings
     ]
     rnd.shuffle(moved)
-    assert canonical_raw(moved, free_loops) == canonical_raw(crossings, free_loops)
+    key = canonical_raw(crossings, free_loops, _arc_table(crossings))
+    assert canonical_raw(moved, free_loops, _arc_table(moved)) == key
 
 
 def test_one_negative_crossing_is_walked_once():
     raw = braid_closure(BraidWord(3, (1, 2, 1, -2, 1, 2))).crossings
     with counted_walks() as starts:
-        key = canonical_raw(raw, 0)
+        key = canonical_raw(raw, 0, _arc_table(raw))
     assert len(key[0]) == 1  # one connected piece
     assert len(starts) == 1
 
@@ -178,11 +181,11 @@ def test_one_negative_crossing_is_walked_once():
 @given(diagrams)
 def test_one_walk_per_crossing_of_each_pieces_smallest_sign(crossings):
     expected = 0
-    for piece in _split_components(crossings):
-        low = min(c[0] for c in piece)
-        expected += sum(1 for c in piece if c[0] == low)
+    for piece in walks_by_piece(crossings):
+        low = min(crossings[j][0] for j in piece)
+        expected += sum(1 for j in piece if crossings[j][0] == low)
     with counted_walks() as starts:
-        canonical_raw(crossings, 0)
+        canonical_raw(crossings, 0, _arc_table(crossings))
     assert len(starts) == expected
 
 
@@ -196,7 +199,7 @@ def test_the_race_drops_a_walk_at_its_first_losing_token():
             letters = tuple(rng.choice(signs) * rng.randint(1, n - 1) for _ in range(length))
             raw = braid_closure(BraidWord(n, letters)).crossings
             with counted_tokens() as tokens:
-                key = canonical_raw(raw, 0)
+                key = canonical_raw(raw, 0, _arc_table(raw))
             assert tokens[0] <= 4 * sum(map(len, key[0])), (seed, n, signs)
 
 
@@ -204,6 +207,7 @@ def test_keys_of_multi_component_links_are_pinned():
     # literal keys: a changed token or walk-restart rule would rename every
     # memo entry
     hopf = braid_closure(BraidWord(2, (1, 1))).crossings
-    assert canonical_raw(hopf, 1) == (((2, 3, -3, 4, 5, -3),), 1)
+    assert canonical_raw(hopf, 1, _arc_table(hopf)) == (((2, 3, -3, 4, 5, -3),), 1)
     chain = braid_closure(BraidWord(3, (1, 1, -2, -2))).crossings
-    assert canonical_raw(chain, 0) == (((-2, -1, -3, 4, 2, 3, 5, -3, 6, 7, -3),), 0)
+    key = canonical_raw(chain, 0, _arc_table(chain))
+    assert key == (((-2, -1, -3, 4, 2, 3, 5, -3, 6, 7, -3),), 0)

@@ -655,6 +655,15 @@ def test_every_input_branch_exits_2_with_its_message(tmp_path, capsys):
     _refused(capsys, ("table",), "error: term 0: expected keys 'v', 'z', 'c'\n", stdin=keyless)
 
 
+def test_json_nested_past_the_recursion_limit_is_a_load_error(tmp_path, capsys):
+    # nothing was evaluated, so the message names the file, not the evaluation
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    message = f"error: {deep}: invalid JSON: nested too deeply\n"
+    _refused(capsys, ("homfly", "--knitted", str(deep)), message)
+    _refused(capsys, ("table", str(deep)), message)
+
+
 def test_table_reads_a_file_path(tmp_path):
     rc, out = run_cli("homfly", "--braid", "1,1,1", "--strands", "2", "--format", "json")
     framed = json.dumps(json.loads(out)["framed"])

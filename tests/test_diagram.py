@@ -12,6 +12,7 @@ from knitweave.diagram import (
     OpenDiagramError,
     PDParseError,
     PlanarDiagram,
+    _arc_table,
     canonical_raw,
     component_count,
     parse_pd,
@@ -260,16 +261,18 @@ def test_canonical_key_is_relabeling_invariant():
             ],
             d.free_loops,
         )
-        key = canonical_raw(d.crossings, d.free_loops)
-        assert canonical_raw(moved.crossings, moved.free_loops) == key
+        key = canonical_raw(d.crossings, d.free_loops, _arc_table(d.crossings))
+        assert canonical_raw(moved.crossings, moved.free_loops, _arc_table(moved.crossings)) == key
         # the memo key depends on the crossings' values, not on their record type
-        assert canonical_raw(tuple(tuple(c) for c in d.crossings), d.free_loops) == key
+        plain = tuple(tuple(c) for c in d.crossings)
+        assert canonical_raw(plain, d.free_loops, _arc_table(plain)) == key
 
 
 def test_canonical_key_separates_mirror_diagrams():
     a = braid_closure(BraidWord(2, (1, 1, 1)))
     b = braid_closure(BraidWord(2, (-1, -1, -1)))
-    assert canonical_raw(a.crossings, a.free_loops) != canonical_raw(b.crossings, b.free_loops)
+    key_a = canonical_raw(a.crossings, a.free_loops, _arc_table(a.crossings))
+    assert key_a != canonical_raw(b.crossings, b.free_loops, _arc_table(b.crossings))
 
 
 def format_pd(d: PlanarDiagram) -> str:

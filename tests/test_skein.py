@@ -12,6 +12,7 @@ from knitweave.braid import BraidWord, full_twist_word
 from knitweave.diagram import (
     Crossing,
     PlanarDiagram,
+    _arc_table,
     planarity_check,
     seifert_circles,
     writhe,
@@ -534,6 +535,67 @@ def test_memo_sizes_are_pinned():
     assert len(skein._MEMO) == 0
 
 
+@st.composite
+def _split_closures(draw):
+    """2-3 closures of words of at most 6 letters on at most 4 strands, as one
+    diagram with its crossings shuffled, its arcs relabelled and 0-2 free
+    loops added. Returns the diagram, the closures and the added loops."""
+    closures = []
+    for _ in range(draw(st.integers(2, 3))):
+        n = draw(st.integers(1, 4))
+        letters = st.sampled_from([g * s for g in range(1, n) for s in (1, -1)])
+        word = draw(st.lists(letters, max_size=6)) if n > 1 else []
+        closures.append(braid_closure(BraidWord(n, tuple(word))))
+    raw = [
+        (c.sign, *(a + 1000 * j for a in c[1:]))
+        for j, d in enumerate(closures)
+        for c in d.crossings
+    ]
+    rng = draw(st.randoms(use_true_random=False))
+    arcs = sorted({a for c in raw for a in c[1:]})
+    relabel = dict(zip(arcs, rng.sample(range(-5000, 5000), len(arcs))))
+    moved = [Crossing(s, *(relabel[a] for a in ports)) for s, *ports in raw]
+    rng.shuffle(moved)
+    loops = draw(st.integers(0, 2))
+    return PlanarDiagram(moved, loops + sum(d.free_loops for d in closures)), closures, loops
+
+
+@settings(max_examples=150, deadline=None)
+@given(_split_closures())
+def test_a_split_diagram_is_the_product_of_its_pieces(drawn):
+    d, closures, loops = drawn
+    # a cold memo, so the split of the whole diagram is not read from it
+    skein._MEMO.clear()
+    got = homfly_framed(d)
+    expected = delta_pow(len(closures) + loops - 1)
+    for closure in closures:
+        expected = expected * homfly_framed(closure)
+    assert got == expected
+    if len(d.crossings) <= 8:
+        assert got == naive_homfly_framed(d)
+
+
+def test_each_keyed_node_builds_one_in_arc_table(monkeypatch):
+    calls = {"_arc_table": 0, "canonical_raw": 0}
+    for name in calls:
+
+        def counted(*args, real=getattr(skein, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(skein, name, counted)
+    ft5 = braid_closure_knitted(full_twist_word(5))
+    for run in (
+        lambda: homfly_framed(braid_closure(BraidWord(2, (1,) * 40))),
+        lambda: _tuple_sum(_expanded(ft5)),
+    ):
+        skein._MEMO.clear()
+        calls.update(dict.fromkeys(calls, 0))
+        run()
+        assert calls["canonical_raw"] > 0
+        assert calls["_arc_table"] == calls["canonical_raw"]
+
+
 def _least_violations(raw) -> tuple[int, tuple[int | None, int]]:
     """Brute force over every base of every component, by a full walk each.
 
@@ -587,7 +649,7 @@ def test_each_component_starts_from_a_base_of_fewest_violations(closure, seed):
     assert len(raw) <= 12
     least, expected = _least_violations(raw)
     while True:
-        assert skein._first_violation(raw) == expected
+        assert skein._first_violation(_arc_table(raw)) == expected
         idx = expected[0]
         if idx is None:
             assert least == 0
